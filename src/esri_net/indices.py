@@ -47,31 +47,52 @@ class MissingTotal(Exception):
 # -- aggregations over an equilibrium -----------------------------------------
 
 
-def esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
-    """Out-strength-share-weighted production loss at equilibrium."""
+# Each aggregate is a dot product of fixed per-network weights with the
+# shortfalls 1 - h; the weights are built once per network or batch.
+
+
+def _out_shares(net: ProductionNetwork) -> np.ndarray | None:
+    """Out-strength shares, or None when the network has no edge weight."""
     s_out = compute_strengths(net).s_out
     total = float(s_out.sum())
-    if total <= 0.0:
-        return 0.0
-    return float(np.dot(s_out / total, 1.0 - eq.h))
+    return s_out / total if total > 0.0 else None
 
 
-def ew_esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
+def _employment_shares(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray | None]:
+    """Known-employment mask and shares over it (None when they sum to 0)."""
     employees = net.employees_array()
     known = ~np.isnan(employees)
     if not known.any():
         raise NoEmploymentData("no firm has an employee count")
     total = float(employees[known].sum())
-    if total <= 0.0:
-        return 0.0
-    return float(np.dot(employees[known] / total, 1.0 - eq.h[known]))
+    return known, employees[known] / total if total > 0.0 else None
+
+
+def _known_co2(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Known-emission mask and the emissions over it."""
+    co2 = net.co2_array()
+    known = ~np.isnan(co2)
+    return known, co2[known]
+
+
+def _weighted_loss(weights: np.ndarray | None, h: np.ndarray) -> float:
+    return 0.0 if weights is None else float(np.dot(weights, 1.0 - h))
+
+
+def esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
+    """Out-strength-share-weighted production loss at equilibrium."""
+    return _weighted_loss(_out_shares(net), eq.h)
+
+
+def ew_esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
+    known, shares = _employment_shares(net)
+    return _weighted_loss(shares, eq.h[known])
 
 
 def eliminated_co2(net: ProductionNetwork, eq: EquilibriumState) -> float:
     """Absolute emissions eliminated at equilibrium, over firms with data."""
-    co2 = net.co2_array()
-    known = ~np.isnan(co2)
-    return float(np.dot(co2[known], 1.0 - eq.h[known]))
+    known, co2 = _known_co2(net)
+    return _weighted_loss(co2, eq.h[known])
 
 
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
@@ -181,12 +202,13 @@ def _eval_shared(task: tuple[int, tuple[str, ...]]) -> tuple[int, float, float, 
     eq = propagate(
         ctx["net"], ctx["pf"], ShockScenario(removed_ids), tol=ctx["tol"], max_iter=ctx["max_iter"]
     )
-    ew = ew_esri_of(ctx["net"], eq) if ctx["has_employment"] else math.nan
+    emp_known, emp_shares = ctx["employment"]
+    co2_known, co2 = ctx["co2"]
     return (
         pos,
-        esri_of(ctx["net"], eq),
-        ew,
-        eliminated_co2(ctx["net"], eq),
+        _weighted_loss(ctx["out_shares"], eq.h),
+        _weighted_loss(emp_shares, eq.h[emp_known]) if emp_known is not None else math.nan,
+        _weighted_loss(co2, eq.h[co2_known]),
         eq.iterations,
         eq.converged,
     )
@@ -204,18 +226,22 @@ def evaluate_scenarios(
 
     Scenarios are independent, so they fan out over a process pool;
     results are gathered in input order and are bit-identical for any
-    worker count.
+    worker count.  ew_esri is nan when no firm has an employee count.
     """
     global _SHARED
-    employees = net.employees_array()
-    has_employment = bool((~np.isnan(employees)).any())
+    try:
+        employment = _employment_shares(net)
+    except NoEmploymentData:
+        employment = (None, None)
     _operators(net, pf)  # compile the sparse operators before forking workers
     _SHARED = {
         "net": net,
         "pf": pf,
         "tol": tol,
         "max_iter": max_iter,
-        "has_employment": has_employment,
+        "out_shares": _out_shares(net),
+        "employment": employment,
+        "co2": _known_co2(net),
     }
     try:
         tasks = list(enumerate(scenarios))

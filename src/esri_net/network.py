@@ -9,14 +9,23 @@ Input schemas (CSV, UTF-8, comma separator, header row required):
                 weight is a strictly positive supplier->buyer flow.
 
 Parallel edges between the same ordered firm pair are summed on load
-(with a warning); self-loops and edges naming unknown firms are rejected.
+(with a warning), in file order, and the merged edge keeps the place of
+the pair's first row; self-loops and edges naming unknown firms are
+rejected.  A faulty file is reported for its first faulty row in file
+order; within an edge row the checks run as cell count, weight parse,
+weight value, self-loop, supplier id, buyer id.
 """
 from __future__ import annotations
 
 import csv
 import logging
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,21 +148,26 @@ class ProductionNetwork:
 
     Firms keep their input order; edges are stored in first-occurrence
     order of the (supplier, buyer) pair with parallel weights summed.
+    `from_arrays` is the one validating constructor; `ProductionNetwork(
+    firms, edges)` maps the edges' firm ids to indices and goes through it.
     """
 
+    firms: tuple[Firm, ...]
+    ids: tuple[str, ...]  # firm ids in firm order, built once
+    supplier_idx: np.ndarray
+    buyer_idx: np.ndarray
+    weights: np.ndarray
+
     def __init__(self, firms: list[Firm] | tuple[Firm, ...], edges: list[SupplyEdge]):
-        self.firms: tuple[Firm, ...] = tuple(firms)
-        self._index: dict[str, int] = {}
-        for pos, firm in enumerate(self.firms):
-            if firm.id in self._index:
-                raise DuplicateFirmId(f"duplicate firm id {firm.id!r}")
-            self._index[firm.id] = pos
-        sup, buy, wgt = _assemble_edges(self._index, edges)
-        self.supplier_idx: np.ndarray = sup
-        self.buyer_idx: np.ndarray = buy
-        self.weights: np.ndarray = wgt
-        self._matrix: sp.csr_matrix | None = None
-        self._strengths: StrengthTable | None = None
+        firms = tuple(firms)
+        index = {f.id: pos for pos, f in enumerate(firms)}
+        net = ProductionNetwork.from_arrays(
+            firms,
+            np.array([index.get(e.supplier_id, -1) for e in edges], dtype=np.int64),
+            np.array([index.get(e.buyer_id, -1) for e in edges], dtype=np.int64),
+            np.array([e.weight for e in edges], dtype=np.float64),
+        )
+        vars(self).update(vars(net))
 
     @classmethod
     def from_arrays(
@@ -163,21 +177,27 @@ class ProductionNetwork:
         buyer_idx: np.ndarray,
         weights: np.ndarray,
     ) -> "ProductionNetwork":
-        """Construct from already deduplicated and validated index arrays."""
+        """Construct from edge index arrays into `firms`.
+
+        Firm ids must be unique.  Every index must name a firm, no edge may
+        be a self-loop, and every weight must be finite and positive; the
+        first offending edge is reported.  Parallel edges are merged.
+        """
         net = cls.__new__(cls)
         net.firms = tuple(firms)
-        net._index = {}
-        for pos, firm in enumerate(net.firms):
-            if firm.id in net._index:
-                raise DuplicateFirmId(f"duplicate firm id {firm.id!r}")
-            net._index[firm.id] = pos
-        if np.any(supplier_idx == buyer_idx):
-            raise SelfLoop("self-loop in edge arrays")
-        if weights.size and not np.all(weights > 0.0):
-            raise NonPositiveWeight("non-positive weight in edge arrays")
-        net.supplier_idx = np.asarray(supplier_idx, dtype=np.int64)
-        net.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
-        net.weights = np.asarray(weights, dtype=np.float64)
+        net.ids = tuple(f.id for f in net.firms)
+        net._index = {fid: pos for pos, fid in enumerate(net.ids)}
+        if len(net._index) != len(net.ids):
+            raise DuplicateFirmId(f"duplicate firm id {_first_repeat(net.ids)!r}")
+        sup = np.asarray(supplier_idx, dtype=np.int64)
+        buy = np.asarray(buyer_idx, dtype=np.int64)
+        wgt = np.asarray(weights, dtype=np.float64)
+        bad = _bad_edges(len(net.ids), sup, buy, wgt)
+        if bad.any():
+            raise _edge_fault(net.ids, int(np.argmax(bad)), sup, buy, wgt)
+        net.supplier_idx, net.buyer_idx, net.weights = _merge_parallel(
+            len(net.ids), sup, buy, wgt
+        )
         net._matrix = None
         net._strengths = None
         return net
@@ -206,10 +226,6 @@ class ProductionNetwork:
     @property
     def n_edges(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(f.id for f in self.firms)
 
     def index_of(self, firm_id: str) -> int:
         try:
@@ -256,139 +272,206 @@ class ProductionNetwork:
         return tuple(f.sector for f in self.firms)
 
 
-def _assemble_edges(
-    index: dict[str, int], edges: list[SupplyEdge]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index, validate and aggregate an edge list into parallel arrays."""
-    order: dict[tuple[int, int], int] = {}
-    sup: list[int] = []
-    buy: list[int] = []
-    wgt: list[float] = []
-    n_parallel = 0
-    for edge in edges:
-        if edge.supplier_id not in index:
-            raise DanglingEdge(f"edge references unknown supplier {edge.supplier_id!r}")
-        if edge.buyer_id not in index:
-            raise DanglingEdge(f"edge references unknown buyer {edge.buyer_id!r}")
-        if edge.supplier_id == edge.buyer_id:
-            raise SelfLoop(f"self-loop on firm {edge.supplier_id!r}")
-        if not edge.weight > 0.0:
-            raise NonPositiveWeight(
-                f"edge {edge.supplier_id!r}->{edge.buyer_id!r} has weight {edge.weight!r}"
-            )
-        key = (index[edge.supplier_id], index[edge.buyer_id])
-        pos = order.get(key)
-        if pos is None:
-            order[key] = len(sup)
-            sup.append(key[0])
-            buy.append(key[1])
-            wgt.append(edge.weight)
-        else:
-            wgt[pos] += edge.weight
-            n_parallel += 1
-    if n_parallel:
-        log.warning("summed %d parallel edge(s) during ingestion", n_parallel)
+def _first_repeat(ids: Iterable[str]) -> str | None:
+    seen: set[str] = set()
+    for fid in ids:
+        if fid in seen:
+            return fid
+        seen.add(fid)
+    return None
+
+
+def _bad_edges(n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """Mask of edges with an end outside [0, n), a self-loop, or a weight
+    that is not finite and positive."""
     return (
-        np.asarray(sup, dtype=np.int64),
-        np.asarray(buy, dtype=np.int64),
-        np.asarray(wgt, dtype=np.float64),
+        (sup < 0) | (sup >= n) | (buy < 0) | (buy >= n) | (sup == buy)
+        | ~(np.isfinite(wgt) & (wgt > 0.0))
     )
+
+
+def _edge_fault(
+    ids: tuple[str, ...], k: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray
+) -> NetworkError:
+    s, b, w = int(sup[k]), int(buy[k]), float(wgt[k])
+    if not 0 <= s < len(ids):
+        return DanglingEdge(f"edge {k} references unknown supplier index {s}")
+    if not 0 <= b < len(ids):
+        return DanglingEdge(f"edge {k} references unknown buyer index {b}")
+    if s == b:
+        return SelfLoop(f"edge {k}: self-loop on firm {ids[s]!r}")
+    return NonPositiveWeight(f"edge {k} {ids[s]!r}->{ids[b]!r} has weight {w!r}")
+
+
+def _merge_parallel(
+    n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge edges of the same (supplier, buyer) pair, in first-occurrence order.
+
+    `np.bincount` adds each pair's weights in input order, so a merged
+    weight is bit-identical to summing the edges one by one as they come.
+    """
+    keys, first, inverse = np.unique(sup * n + buy, return_index=True, return_inverse=True)
+    if keys.size == sup.size:
+        return sup, buy, wgt
+    log.warning("summed %d parallel edge(s) during ingestion", sup.size - keys.size)
+    order = np.argsort(first)  # distinct pairs in first-occurrence order
+    summed = np.bincount(inverse, weights=wgt, minlength=keys.size)
+    return sup[first[order]], buy[first[order]], summed[order]
 
 
 # -- ingestion --------------------------------------------------------------
 
+# Edge rows are read and checked in blocks of this many rows.
+_EDGE_BLOCK_ROWS = 1 << 16
 
-def _open_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[list[str]]:
+
+@contextmanager
+def _csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader positioned after the file's header, which must match."""
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"missing input file: {p}")
     with open(p, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(h.strip() for h in rows[0]) != expected_header:
-        raise SchemaError(
-            f"{p.name} row 1: expected header {','.join(expected_header)!r}"
-        )
-    return rows[1:]
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or tuple(h.strip() for h in header) != expected_header:
+            raise SchemaError(
+                f"{p.name} row 1: expected header {','.join(expected_header)!r}"
+            )
+        yield rows
 
 
-def _parse_optional_int(cell: str, what: str, where: str) -> int | None:
+def _at_row(fault: NetworkError, path: str | Path, row_no: int) -> NetworkError:
+    """The same fault, with the file name and row number in front."""
+    return type(fault)(f"{Path(path).name} row {row_no}: {fault}")
+
+
+def _parse_optional_int(cell: str, what: str) -> int | None:
     if cell == "":
         return None
     try:
         value = int(cell)
     except ValueError:
-        raise SchemaError(f"{where}: {what} must be an integer, got {cell!r}") from None
+        raise SchemaError(f"{what} must be an integer, got {cell!r}") from None
     if value < 0:
-        raise SchemaError(f"{where}: {what} must be non-negative, got {value}")
+        raise SchemaError(f"{what} must be non-negative, got {value}")
     return value
 
 
-def _parse_optional_float(cell: str, what: str, where: str) -> float | None:
+def _parse_optional_float(cell: str, what: str) -> float | None:
     if cell == "":
         return None
     try:
         value = float(cell)
     except ValueError:
-        raise SchemaError(f"{where}: {what} must be a number, got {cell!r}") from None
-    if not np.isfinite(value) or value < 0.0:
-        raise SchemaError(f"{where}: {what} must be finite and non-negative, got {cell!r}")
+        raise SchemaError(f"{what} must be a number, got {cell!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise SchemaError(f"{what} must be finite and non-negative, got {cell!r}")
     return value
 
 
-def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetwork:
-    """Load and validate the firm and edge files into a ProductionNetwork."""
-    firms: list[Firm] = []
-    for row_no, row in enumerate(_open_rows(firm_file, FIRM_COLUMNS), start=2):
-        where = f"{Path(firm_file).name} row {row_no}"
-        if len(row) != len(FIRM_COLUMNS):
-            raise SchemaError(f"{where}: expected {len(FIRM_COLUMNS)} cells, got {len(row)}")
-        firm_id, sector, employees, co2, ets = (c.strip() for c in row)
-        if not firm_id:
-            raise SchemaError(f"{where}: empty firm id")
-        if not sector:
-            raise SchemaError(f"{where}: empty sector code")
-        if ets not in ("0", "1"):
-            raise SchemaError(f"{where}: ets_member must be 0 or 1, got {ets!r}")
-        co2_value = _parse_optional_float(co2, "co2", where)
-        if ets == "1" and co2_value is None:
-            raise SchemaError(f"{where}: ets_member=1 requires a co2 value")
-        firms.append(
-            Firm(
-                id=firm_id,
-                sector=sector,
-                employees=_parse_optional_int(employees, "employees", where),
-                co2=co2_value,
-                ets_member=ets == "1",
-            )
+def _parse_firm(row: list[str]) -> Firm:
+    if len(row) != len(FIRM_COLUMNS):
+        raise SchemaError(f"expected {len(FIRM_COLUMNS)} cells, got {len(row)}")
+    firm_id, sector, employees, co2, ets = map(str.strip, row)
+    if not firm_id:
+        raise SchemaError("empty firm id")
+    if not sector:
+        raise SchemaError("empty sector code")
+    if ets not in ("0", "1"):
+        raise SchemaError(f"ets_member must be 0 or 1, got {ets!r}")
+    co2_value = _parse_optional_float(co2, "co2")
+    if ets == "1" and co2_value is None:
+        raise SchemaError("ets_member=1 requires a co2 value")
+    return Firm(
+        id=firm_id,
+        sector=sector,
+        employees=_parse_optional_int(employees, "employees"),
+        co2=co2_value,
+        ets_member=ets == "1",
+    )
+
+
+def _check_edge_row(row: list[str], index: dict[str, int]) -> None:
+    """Raise the first fault of one edge row; the checks run in this order."""
+    if len(row) != len(EDGE_COLUMNS):
+        raise SchemaError(f"expected {len(EDGE_COLUMNS)} cells, got {len(row)}")
+    supplier, buyer, weight = map(str.strip, row)
+    try:
+        weight_value = float(weight)
+    except ValueError:
+        raise SchemaError(f"weight must be a number, got {weight!r}") from None
+    if not math.isfinite(weight_value) or weight_value <= 0.0:
+        raise NonPositiveWeight(f"weight must be positive, got {weight!r}")
+    if supplier == buyer:
+        raise SelfLoop(f"self-loop on firm {supplier!r}")
+    if supplier not in index:
+        raise DanglingEdge(f"unknown supplier id {supplier!r}")
+    if buyer not in index:
+        raise DanglingEdge(f"unknown buyer id {buyer!r}")
+
+
+def _edge_block(
+    rows: list[list[str]], index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Supplier, buyer and weight arrays of a block of edge rows, or None
+    if any row in it is faulty."""
+    if set(map(len, rows)) != {len(EDGE_COLUMNS)}:
+        return None
+    # itemgetter columns, not zip(*rows): zip's temporaries trigger costly GC passes
+    try:
+        wgt = np.fromiter(map(float, map(itemgetter(2), rows)), np.float64, len(rows))
+    except ValueError:
+        return None
+    sup, buy = (
+        np.fromiter(
+            map(index.get, map(str.strip, map(itemgetter(col), rows)), repeat(-1)),
+            np.int64,
+            len(rows),
         )
+        for col in (0, 1)
+    )
+    if _bad_edges(len(index), sup, buy, wgt).any():
+        return None
+    return sup, buy, wgt
 
-    seen: set[str] = set()
-    for firm in firms:
-        if firm.id in seen:
-            raise DuplicateFirmId(f"duplicate firm id {firm.id!r} in {Path(firm_file).name}")
-        seen.add(firm.id)
 
-    edges: list[SupplyEdge] = []
-    for row_no, row in enumerate(_open_rows(edge_file, EDGE_COLUMNS), start=2):
-        where = f"{Path(edge_file).name} row {row_no}"
-        if len(row) != len(EDGE_COLUMNS):
-            raise SchemaError(f"{where}: expected {len(EDGE_COLUMNS)} cells, got {len(row)}")
-        supplier, buyer, weight = (c.strip() for c in row)
-        try:
-            weight_value = float(weight)
-        except ValueError:
-            raise SchemaError(f"{where}: weight must be a number, got {weight!r}") from None
-        if not np.isfinite(weight_value) or weight_value <= 0.0:
-            raise NonPositiveWeight(f"{where}: weight must be positive, got {weight!r}")
-        if supplier == buyer:
-            raise SelfLoop(f"{where}: self-loop on firm {supplier!r}")
-        if supplier not in seen:
-            raise DanglingEdge(f"{where}: unknown supplier id {supplier!r}")
-        if buyer not in seen:
-            raise DanglingEdge(f"{where}: unknown buyer id {buyer!r}")
-        edges.append(SupplyEdge(supplier, buyer, weight_value))
+def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetwork:
+    """Load and validate the firm and edge files into a ProductionNetwork.
 
-    return ProductionNetwork(firms, edges)
+    A fault is reported for the first faulty row in file order, with its
+    row number.  Edge rows are checked a block at a time with array masks;
+    only a block that holds a fault is walked row by row to name it.
+    """
+    firms: list[Firm] = []
+    with _csv_rows(firm_file, FIRM_COLUMNS) as rows:
+        for row_no, row in enumerate(rows, start=2):
+            try:
+                firms.append(_parse_firm(row))
+            except NetworkError as fault:
+                raise _at_row(fault, firm_file, row_no) from None
+
+    index = {f.id: pos for pos, f in enumerate(firms)}
+    if len(index) != len(firms):
+        repeat_id = _first_repeat(f.id for f in firms)
+        raise DuplicateFirmId(f"duplicate firm id {repeat_id!r} in {Path(firm_file).name}")
+
+    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
+    with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
+        row_no = 2
+        while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
+            arrays = _edge_block(block, index)
+            if arrays is None:
+                for k, row in enumerate(block):
+                    try:
+                        _check_edge_row(row, index)
+                    except NetworkError as fault:
+                        raise _at_row(fault, edge_file, row_no + k) from None
+            blocks.append(arrays)
+            row_no += len(block)
+    sup, buy, wgt = (np.concatenate(column) for column in zip(*blocks))
+    return ProductionNetwork.from_arrays(firms, sup, buy, wgt)
 
 
 def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
@@ -411,8 +494,13 @@ def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
     with open(out / "edges.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EDGE_COLUMNS)
-        for e in net.edges():
-            writer.writerow([e.supplier_id, e.buyer_id, repr(e.weight)])
+        writer.writerows(
+            zip(
+                map(net.ids.__getitem__, net.supplier_idx.tolist()),
+                map(net.ids.__getitem__, net.buyer_idx.tolist()),
+                map(repr, net.weights.tolist()),
+            )
+        )
 
 
 # -- strengths and validation ------------------------------------------------

@@ -112,7 +112,7 @@ def _wire(
     """Match out-stubs to in-stubs, rejecting self-loops and repeats."""
     out_rem = np.repeat(np.arange(n, dtype=np.int64), d_out)
     in_rem = np.repeat(np.arange(n, dtype=np.int64), d_in)
-    accepted = np.empty(0, dtype=np.int64)
+    accepted = np.empty(0, dtype=np.int64)  # kept sorted: canonical edge order
     for _ in range(_MAX_WIRING_ROUNDS):
         if out_rem.size == 0:
             break
@@ -123,13 +123,13 @@ def _wire(
         first[np.unique(key, return_index=True)[1]] = True
         keep &= first
         if accepted.size:
-            keep &= ~np.isin(key, accepted)
-        accepted = np.concatenate([accepted, key[keep]])
+            pos = np.minimum(np.searchsorted(accepted, key), accepted.size - 1)
+            keep &= accepted[pos] != key
+        accepted = np.sort(np.concatenate([accepted, key[keep]]))
         out_rem = out_rem[~keep]
         in_rem = in_rem[~keep]
     if out_rem.size:
         log.info("dropped %d unmatchable stub pair(s) during wiring", out_rem.size)
-    accepted.sort()  # canonical edge order, independent of round history
     return accepted // n, accepted % n
 
 

@@ -43,6 +43,11 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert run(["validate", "--net", tmp_path]) == 3
     assert "SchemaError" in capsys.readouterr().err
 
+    (tmp_path / "firms.csv").write_text("id,sector,employees,co2,ets_member\na,C,1,,0\nb,G,1,,0\n")
+    (tmp_path / "edges.csv").write_text("supplier_id,buyer_id,weight\na,b,1\nb,a,-2\n")
+    assert run(["validate", "--net", tmp_path]) == 3
+    assert "NonPositiveWeight: edges.csv row 3:" in capsys.readouterr().err
+
     code = run(
         ["simulate", "--net", FIG1, "--remove", "zz", "--out", tmp_path / "o"]
     )

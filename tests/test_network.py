@@ -21,6 +21,8 @@ from esri_net import (
     write_network,
 )
 
+import esri_net.network as network_module
+
 from conftest import FIG1, RandomCase
 
 
@@ -106,17 +108,79 @@ def test_firm_row_errors(tmp_path):
 
 def test_edge_row_errors(tmp_path):
     cases = [
+        ([["a", "b"]], SchemaError),
         ([["a", "b", 0.0]], NonPositiveWeight),
         ([["a", "b", -1.0]], NonPositiveWeight),
+        ([["a", "b", "nan"]], NonPositiveWeight),
+        ([["a", "b", "inf"]], NonPositiveWeight),
         ([["a", "b", "x"]], SchemaError),
         ([["a", "a", 1.0]], SelfLoop),
         ([["z", "b", 1.0]], DanglingEdge),
         ([["a", "z", 1.0]], DanglingEdge),
     ]
     for rows, exc in cases:
-        fp, ep = write_pair(tmp_path, edges=rows)
-        with pytest.raises(exc):
+        fp, ep = write_pair(tmp_path, edges=GOOD_EDGES + rows)
+        with pytest.raises(exc, match=r"^edges\.csv row 3: "):
             load_network(fp, ep)
+
+
+def test_first_faulty_edge_row_wins(tmp_path):
+    # a later row's fault never wins, whatever its kind
+    fp, ep = write_pair(tmp_path, edges=[["a", "b", 1.0], ["a", "z", 1.0], ["a", "b", "x"]])
+    with pytest.raises(DanglingEdge, match=r"^edges\.csv row 3: unknown buyer id 'z'$"):
+        load_network(fp, ep)
+    fp, ep = write_pair(tmp_path, edges=[["a", "b", "x"], ["a", "z", 1.0], ["a", "a"]])
+    with pytest.raises(SchemaError, match=r"^edges\.csv row 2: weight must be a number"):
+        load_network(fp, ep)
+
+
+def test_first_faulty_edge_row_wins_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(network_module, "_EDGE_BLOCK_ROWS", 2)
+    edges = [["a", "b", 1.0]] * 3 + [["b", "y", 1.0], ["a", "b", 1.0], ["a", "a", 1.0]]
+    fp, ep = write_pair(tmp_path, edges=edges)
+    with pytest.raises(DanglingEdge, match=r"^edges\.csv row 5: unknown buyer id 'y'$"):
+        load_network(fp, ep)
+
+
+def test_two_different_unknown_ids_are_dangling_not_a_self_loop(tmp_path):
+    fp, ep = write_pair(tmp_path, edges=[["y", "z", 1.0]])
+    with pytest.raises(DanglingEdge, match=r"^edges\.csv row 2: unknown supplier id 'y'$"):
+        load_network(fp, ep)
+
+
+def test_same_unknown_id_at_both_ends_is_a_self_loop(tmp_path):
+    fp, ep = write_pair(tmp_path, edges=[["z", "z", 1.0]])
+    with pytest.raises(SelfLoop, match=r"^edges\.csv row 2: self-loop on firm 'z'$"):
+        load_network(fp, ep)
+
+
+def test_padded_cells_are_stripped(tmp_path):
+    fp, ep = write_pair(
+        tmp_path,
+        firms=[[" a ", " G46", "1 ", " 2.0 ", " 1"], ["b", "C25", "", "", "0"]],
+        edges=[[" a", "b ", " 3.5 "]],
+    )
+    net = load_network(fp, ep)
+    assert net.ids == ("a", "b")
+    assert net.firm("a") == Firm("a", "G46", 1, 2.0, True)
+    assert net.edges() == [SupplyEdge("a", "b", 3.5)]
+
+
+def test_interleaved_parallel_edges_keep_first_occurrence_order(tmp_path):
+    fp, ep = write_pair(tmp_path, edges=[["a", "b", 1.0], ["b", "a", 2.0], ["a", "b", 2.5]])
+    net = load_network(fp, ep)
+    assert net.supplier_idx.tolist() == [0, 1]
+    assert net.buyer_idx.tolist() == [1, 0]
+    assert net.weights.tolist() == [1.0 + 2.5, 2.0]
+    # first-occurrence order, not the sorted order of the pairs
+    fp, ep = write_pair(tmp_path, edges=[["b", "a", 2.0], ["a", "b", 1.0], ["b", "a", 2.5]])
+    net = load_network(fp, ep)
+    assert net.supplier_idx.tolist() == [1, 0]
+    assert net.buyer_idx.tolist() == [0, 1]
+    assert net.weights.tolist() == [2.0 + 2.5, 1.0]
+    # weights add in file order: (1e16 + 1) + 1 rounds to 1e16 twice
+    fp, ep = write_pair(tmp_path, edges=[["a", "b", 1e16], ["a", "b", 1.0], ["a", "b", 1.0]])
+    assert load_network(fp, ep).weights.tolist() == [(1e16 + 1.0) + 1.0]
 
 
 def test_parallel_edges_are_summed(tmp_path, caplog):
@@ -126,6 +190,27 @@ def test_parallel_edges_are_summed(tmp_path, caplog):
     assert net.n_edges == 1
     assert net.weights[0] == pytest.approx(3.5)
     assert any("parallel" in r.message for r in caplog.records)
+
+
+def test_parallel_merge_matches_row_by_row_reference(tmp_path, monkeypatch):
+    # reference: the row-by-row dict merge, first-occurrence order, += in file order
+    monkeypatch.setattr(network_module, "_EDGE_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(23)
+    ids = [f"f{k}" for k in range(6)]
+    firms = [[fid, "C25", "", "", 0] for fid in ids]
+    rows = []
+    while len(rows) < 200:
+        s, b = rng.choice(6, size=2)
+        if s != b:
+            rows.append([ids[s], ids[b], repr(float(rng.lognormal(0.0, 3.0)))])
+    merged: dict[tuple[int, int], float] = {}
+    for s, b, w in rows:
+        key = (ids.index(s), ids.index(b))
+        merged[key] = merged[key] + float(w) if key in merged else float(w)
+    fp, ep = write_pair(tmp_path, firms=firms, edges=rows)
+    net = load_network(fp, ep)
+    assert list(zip(net.supplier_idx.tolist(), net.buyer_idx.tolist())) == list(merged)
+    assert net.weights.tolist() == list(merged.values())
 
 
 def test_constructor_rejects_bad_edges():
@@ -138,6 +223,21 @@ def test_constructor_rejects_bad_edges():
         ProductionNetwork(firms, [SupplyEdge("a", "b", 0.0)])
     with pytest.raises(DuplicateFirmId):
         ProductionNetwork(firms + [Firm("a", "C10")], [])
+
+
+def test_constructor_goes_through_from_arrays():
+    firms = [Firm("a", "G46"), Firm("b", "C25"), Firm("c", "C10")]
+    edges = [SupplyEdge("a", "b", 1.0), SupplyEdge("c", "a", 2.0), SupplyEdge("a", "b", 2.5)]
+    net = ProductionNetwork(firms, edges)
+    assert net == ProductionNetwork.from_arrays(
+        firms, np.array([0, 2, 0]), np.array([1, 0, 1]), np.array([1.0, 2.0, 2.5])
+    )
+    assert net.edges() == [SupplyEdge("a", "b", 3.5), SupplyEdge("c", "a", 2.0)]
+    assert net.ids == ("a", "b", "c")
+    with pytest.raises(DanglingEdge):
+        ProductionNetwork.from_arrays(firms, np.array([0]), np.array([3]), np.array([1.0]))
+    with pytest.raises(NonPositiveWeight):
+        ProductionNetwork.from_arrays(firms, np.array([0]), np.array([1]), np.array([np.inf]))
 
 
 # -- round trip ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Synthetic network generation: determinism, validity, tail structure."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ def test_same_seed_same_network():
 def test_different_seed_different_network():
     other = SynthParams(n_firms=400, n_edges=2400, n_ets=30, seed=10)
     assert generate(other) != generate(BASE)
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (
+            SynthParams(2000, 10000, n_ets=20, seed=9),
+            "b090cd33e3bb0de979da611df2fcb2280447df36d04ad983fd514bd889c03087",
+        ),
+        (
+            SynthParams(10000, 50000, n_ets=20, seed=5),
+            "e8b592b7e06b6cbca82320f7150c6ebf544736ecab167a18ac98d819be9f966e",
+        ),
+    ],
+)
+def test_edge_arrays_are_pinned(params, digest):
+    # sha256 over the supplier, buyer and weight arrays of earlier releases
+    net = generate(params)
+    h = hashlib.sha256()
+    for arr in (net.supplier_idx, net.buyer_idx, net.weights):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_stages_draw_from_independent_streams():
