@@ -18,12 +18,11 @@ reproduces the reference output x0:
 x0 is the out-strength, falling back to in-strength for firms that sell
 nothing inside the network ("out" rule), or max(s_in, s_out) ("max" rule).
 In relative levels x0 cancels, so the rule affects reported coefficients
-and absolute evaluation only.
+only.
 """
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -31,8 +30,6 @@ from typing import Mapping
 import numpy as np
 
 from .network import MissingFile, ProductionNetwork, SchemaError, compute_strengths
-
-log = logging.getLogger(__name__)
 
 ESSENTIALITY_COLUMNS = ("supplier_sector", "buyer_sector", "essential")
 
@@ -134,12 +131,17 @@ class InputPartition:
         return [net.firms[s].id for s in net.supplier_idx[mask]]
 
 
-def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
-    """Flag every supply edge as essential or non-essential for its buyer."""
+def _sector_codes(net: ProductionNetwork) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct sector names and each firm's index into them."""
     sectors = net.sectors()
     unique = sorted(set(sectors))
     code_of = {s: k for k, s in enumerate(unique)}
-    codes = np.array([code_of[s] for s in sectors], dtype=np.int64)
+    return unique, np.array([code_of[s] for s in sectors], dtype=np.int64)
+
+
+def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
+    """Flag every supply edge as essential or non-essential for its buyer."""
+    unique, codes = _sector_codes(net)
     sup_codes = codes[net.supplier_idx]
     buy_codes = codes[net.buyer_idx]
 
@@ -165,7 +167,10 @@ class EssentialGroup:
 
 @dataclass(frozen=True)
 class FirmProductionFunction:
-    """Calibrated per-firm view, used for audits and absolute evaluation."""
+    """Calibrated per-firm view of the coefficients, for audits only.
+
+    Production is evaluated in relative levels by propagation.production_step.
+    """
 
     firm_id: str
     x0: float
@@ -173,23 +178,7 @@ class FirmProductionFunction:
     gamma: float
     essential_groups: tuple[EssentialGroup, ...]
     nonessential: dict[str, float]  # supplier id -> in-weight
-    alpha_ne: float | None
-
-    def evaluate(self, levels: Mapping[str, float], default: float = 1.0) -> float:
-        """Absolute output at the given supplier levels (missing -> default)."""
-        terms: list[float] = []
-        for group in self.essential_groups:
-            num = sum(w * levels.get(j, default) for j, w in group.members.items())
-            terms.append(num / group.alpha if group.alpha > 0.0 else self.x0)
-        if self.nonessential:
-            num = sum(w * levels.get(j, default) for j, w in self.nonessential.items())
-            if self.alpha_ne is None:  # beta == x0: extra inputs cannot raise output
-                terms.append(self.x0)
-            else:
-                terms.append(self.beta + num / self.alpha_ne)
-        if not terms:
-            return self.x0
-        return float(min(self.x0, max(0.0, min(terms))))
+    alpha_ne: float | None  # None when beta == x0: extra inputs cannot raise output
 
 
 class ProductionFunctionSet:
@@ -227,29 +216,12 @@ class ProductionFunctionSet:
             self.x0 = np.where(st.s_out > 0.0, st.s_out, st.s_in)
         else:
             self.x0 = np.maximum(st.s_out, st.s_in)
-
-        # defensive: unreachable under both rules with positive edge weights
-        degenerate = (self.x0 == 0.0) & (st.s_in > 0.0)
-        self.degenerate_ids: tuple[str, ...] = tuple(np.array(net.ids)[degenerate])
-        if self.degenerate_ids:
-            log.warning(
-                "%d degenerate firm(s) with zero x0 but positive in-strength "
-                "treated as unconstrained: %s",
-                len(self.degenerate_ids),
-                ", ".join(self.degenerate_ids[:5]),
-            )
-        active = ~degenerate
-
-        es = partition.edge_essential & active[net.buyer_idx]
-        ne = ~partition.edge_essential & active[net.buyer_idx]
+        # every edge weight is positive, so x0 > 0 for every firm with inputs
         n = net.n_firms
 
         # essential layout: edges sorted by (buyer, supplier sector code)
-        sectors = net.sectors()
-        unique = sorted(set(sectors))
-        code_of = {s: k for k, s in enumerate(unique)}
-        sector_code = np.array([code_of[s] for s in sectors], dtype=np.int64)
-        es_idx = np.flatnonzero(es)
+        unique, sector_code = _sector_codes(net)
+        es_idx = np.flatnonzero(partition.edge_essential)
         key = net.buyer_idx[es_idx] * len(unique) + sector_code[net.supplier_idx[es_idx]]
         order = np.argsort(key, kind="stable")
         es_idx = es_idx[order]
@@ -275,7 +247,7 @@ class ProductionFunctionSet:
         self.firm_group_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
         # non-essential layout
-        ne_idx = np.flatnonzero(ne)
+        ne_idx = np.flatnonzero(~partition.edge_essential)
         order = np.argsort(net.buyer_idx[ne_idx], kind="stable")
         ne_idx = ne_idx[order]
         self.ne_supplier = net.supplier_idx[ne_idx]
@@ -285,6 +257,8 @@ class ProductionFunctionSet:
         self.has_ne = self.ne_firm_weight > 0.0
 
         self.beta = np.where(self.has_ne, self.gamma * self.x0, self.x0)
+        # sparse step operators, compiled on first use by propagation._operators
+        self._ops = None
 
     # -- per-firm views -------------------------------------------------------
 
@@ -302,7 +276,7 @@ class ProductionFunctionSet:
             groups.append(
                 EssentialGroup(
                     sector=self._sector_names[int(self.es_group_sector_code[g])],
-                    alpha=wsum / x0 if x0 > 0.0 else 0.0,
+                    alpha=wsum / x0,
                     members=members,
                 )
             )
@@ -324,9 +298,6 @@ class ProductionFunctionSet:
             nonessential=nonessential,
             alpha_ne=alpha_ne,
         )
-
-    def evaluate(self, firm_id: str, levels: Mapping[str, float], default: float = 1.0) -> float:
-        return self.function_of(firm_id).evaluate(levels, default)
 
     def audit_rows(self) -> list[tuple[str, float, float, int, int]]:
         """(firm_id, x0, beta, n_essential_groups, n_nonessential) per firm."""

@@ -31,18 +31,13 @@ from .calibration import (
     calibrate,
     classify_inputs,
 )
-from .indices import (
-    MissingTotal,
-    NoEmploymentData,
-    batch_indices,
-    ets_total_co2,
-    resolve_total_co2,
-)
+from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
 from .network import NetworkError, ProductionNetwork, load_network, validate, write_network
 from .propagation import InvalidScenario, propagate
 from .strategies import (
     Heuristic,
     InsufficientPoints,
+    StrategyCurve,
     fit_rank_regimes,
     rank_firms,
     run_strategy,
@@ -146,6 +141,12 @@ def _write_audit(out: Path, pf: ProductionFunctionSet) -> None:
     )
 
 
+def _read_ids(path: Path) -> list[str]:
+    """Non-blank lines of a file with one firm id per line."""
+    ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    return [fid for fid in ids if fid]
+
+
 def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     spec = args.candidates
     if spec == "all-ets":
@@ -153,16 +154,39 @@ def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     path = Path(spec)
     if not path.is_file():
         raise InvalidScenario(f"candidate file not found: {spec}")
-    ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-    return [fid for fid in ids if fid]
+    return _read_ids(path)
 
 
 def _removal_ids(spec: str) -> list[str]:
     path = Path(spec)
     if path.is_file():
-        ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-        return [fid for fid in ids if fid]
+        return _read_ids(path)
     return [fid.strip() for fid in spec.split(",") if fid.strip()]
+
+
+def _index_table(
+    args: argparse.Namespace,
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    candidates: list[str],
+) -> IndexTable:
+    return batch_indices(
+        net, pf, candidates,
+        workers=args.threads, total_co2=args.total_co2,
+        tol=args.tol, max_iter=args.max_iter,
+    )
+
+
+def _write_curve(path: Path, curve: StrategyCurve) -> None:
+    _write_csv(
+        path,
+        CURVE_COLUMNS,
+        [
+            (p.rank, p.firm_id, p.cum_firms, _fmt(p.cum_co2_saved), _fmt(p.cum_job_loss),
+             int(curve.benchmark_rank is not None and p.rank == curve.benchmark_rank))
+            for p in curve.points
+        ],
+    )
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -235,12 +259,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_esri(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    candidates = _candidates(args, net)
-    table = batch_indices(
-        net, pf, candidates,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter,
-    )
+    table = _index_table(args, net, pf, _candidates(args, net))
     bad = [r.firm_id for r in table.rows if r.error is not None]
     if bad:
         print(f"warning: {len(bad)} candidate(s) failed: {', '.join(bad[:5])}", file=sys.stderr)
@@ -264,13 +283,8 @@ def _cmd_esri(args: argparse.Namespace) -> int:
 def _cmd_strategy(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    candidates = _candidates(args, net)
     heuristic = Heuristic.from_name(args.heuristic)
-    table = batch_indices(
-        net, pf, candidates,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter,
-    )
+    table = _index_table(args, net, pf, _candidates(args, net))
     ordering = rank_firms(table, heuristic)
     curve = run_strategy(
         net, pf, ordering, args.target,
@@ -278,15 +292,7 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
         tol=args.tol, max_iter=args.max_iter, heuristic=heuristic,
     )
     out = Path(args.out)
-    _write_csv(
-        out / "curve.csv",
-        CURVE_COLUMNS,
-        [
-            (p.rank, p.firm_id, p.cum_firms, _fmt(p.cum_co2_saved), _fmt(p.cum_job_loss),
-             int(curve.benchmark_rank is not None and p.rank == curve.benchmark_rank))
-            for p in curve.points
-        ],
-    )
+    _write_curve(out / "curve.csv", curve)
     _write_json(out / "summary.json", curve.summary())
     _write_audit(out, pf)
     _write_config(out, "strategy", args)
@@ -311,14 +317,10 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
         ratios = _read_ratio_column(Path(args.indices))
     else:
         if args.net is None:
-            raise MissingTotal("fit-regimes needs --indices or --net")
+            raise MissingUpstream("fit-regimes needs --indices or --net")
         net = _load_net(args)
         pf = _calibrated(args, net)
-        candidates = [f.id for f in net.firms if f.ets_member]
-        table = batch_indices(
-            net, pf, candidates,
-            workers=args.threads, tol=args.tol, max_iter=args.max_iter,
-        )
+        table = _index_table(args, net, pf, [f.id for f in net.firms if f.ets_member])
         ratios = table.finite_ratios_descending()
     fit = fit_rank_regimes(ratios, hi=args.hi, lo=args.lo)
     payload = {
@@ -360,11 +362,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise MissingUpstream("no candidate firms to report on (is any firm an ETS member?)")
     out = Path(args.out)
 
-    table = batch_indices(
-        net, pf, candidates,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter,
-    )
+    table = _index_table(args, net, pf, candidates)
     rows = [r for r in table.rows if r.error is None]
     _write_csv(
         out / "scatter_co2_vs_ew_esri.csv",
@@ -383,15 +381,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             workers=args.threads, total_co2=args.total_co2,
             tol=args.tol, max_iter=args.max_iter, heuristic=heuristic,
         )
-        _write_csv(
-            out / f"strategy_curve_{heuristic.value}.csv",
-            CURVE_COLUMNS,
-            [
-                (p.rank, p.firm_id, p.cum_firms, _fmt(p.cum_co2_saved), _fmt(p.cum_job_loss),
-                 int(curve.benchmark_rank is not None and p.rank == curve.benchmark_rank))
-                for p in curve.points
-            ],
-        )
+        _write_curve(out / f"strategy_curve_{heuristic.value}.csv", curve)
         removed_at_benchmark = set(
             ordering[: curve.benchmark_rank] if curve.benchmark_rank else []
         )
@@ -434,17 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    p_net = argparse.ArgumentParser(add_help=False)
-    p_net.add_argument("--net", required=True, help="directory with firms.csv and edges.csv")
-    p_net.add_argument(
+    p_model = argparse.ArgumentParser(add_help=False)
+    p_model.add_argument(
         "--essentiality",
         help="sector-pair essentiality CSV (default: <net>/essentiality.csv, "
              "else the bundled supplier-letter rule)",
     )
-    p_net.add_argument("--gamma", type=_gamma_type, default=0.5,
-                       help="output share attainable with no non-essential inputs (default 0.5)")
-    p_net.add_argument("--x0-rule", choices=("out", "max"), default="out",
-                       help="reference output rule (default out)")
+    p_model.add_argument("--gamma", type=_gamma_type, default=0.5,
+                         help="output share attainable with no non-essential inputs (default 0.5)")
+    p_model.add_argument("--x0-rule", choices=("out", "max"), default="out",
+                         help="reference output rule (default out)")
+
+    p_net = argparse.ArgumentParser(add_help=False, parents=[p_model])
+    p_net.add_argument("--net", required=True, help="directory with firms.csv and edges.csv")
 
     p_prop = argparse.ArgumentParser(add_help=False)
     p_prop.add_argument("--tol", type=_positive_float, default=1e-9,
@@ -495,13 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_strategy)
 
-    sp = sub.add_parser("fit-regimes", parents=[p_prop, p_par],
+    sp = sub.add_parser("fit-regimes", parents=[p_model, p_prop, p_par],
                         help="two-regime exponential fit of ratio vs rank")
     sp.add_argument("--indices", help="indices.csv from an esri run")
     sp.add_argument("--net", help="compute indices from this network directory instead")
-    sp.add_argument("--essentiality")
-    sp.add_argument("--gamma", type=_gamma_type, default=0.5)
-    sp.add_argument("--x0-rule", choices=("out", "max"), default="out")
     sp.add_argument("--hi", type=_positive_float, default=1000.0)
     sp.add_argument("--lo", type=_positive_float, default=10.0)
     sp.add_argument("--out")

@@ -27,7 +27,6 @@ from .network import ProductionNetwork, compute_strengths
 from .propagation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    EquilibriumState,
     ShockScenario,
     _operators,
     propagate,
@@ -44,55 +43,50 @@ class MissingTotal(Exception):
     """No economy-wide CO2 total configured and none derivable from the data."""
 
 
-# -- aggregations over an equilibrium -----------------------------------------
+# -- scores of an equilibrium --------------------------------------------------
 
 
-# Each aggregate is a dot product of fixed per-network weights with the
-# shortfalls 1 - h; the weights are built once per network or batch.
+def _shares(values: np.ndarray) -> np.ndarray:
+    """values over their sum; zeros when the sum is 0, so every loss reads 0."""
+    total = float(values.sum())
+    return values / total if total > 0.0 else np.zeros_like(values)
 
 
-def _out_shares(net: ProductionNetwork) -> np.ndarray | None:
-    """Out-strength shares, or None when the network has no edge weight."""
-    s_out = compute_strengths(net).s_out
-    total = float(s_out.sum())
-    return s_out / total if total > 0.0 else None
+@dataclass(frozen=True)
+class _Weights:
+    """Fixed per-network weights of the three scenario scores.
 
+    Each score is a dot product of weights with the shortfalls 1 - h:
+    out-strength shares (esri), employment shares over the firms with a
+    known count (ew_esri) and known emissions (eliminated CO2).
+    emp_known is None when no firm has an employee count.
+    """
 
-def _employment_shares(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray | None]:
-    """Known-employment mask and shares over it (None when they sum to 0)."""
-    employees = net.employees_array()
-    known = ~np.isnan(employees)
-    if not known.any():
-        raise NoEmploymentData("no firm has an employee count")
-    total = float(employees[known].sum())
-    return known, employees[known] / total if total > 0.0 else None
+    out_shares: np.ndarray
+    emp_known: np.ndarray | None
+    emp_shares: np.ndarray
+    co2_known: np.ndarray
+    co2: np.ndarray
 
+    @classmethod
+    def of(cls, net: ProductionNetwork) -> "_Weights":
+        employees = net.employees_array()
+        emp_known = ~np.isnan(employees)
+        co2 = net.co2_array()
+        co2_known = ~np.isnan(co2)
+        return cls(
+            out_shares=_shares(compute_strengths(net).s_out),
+            emp_known=emp_known if emp_known.any() else None,
+            emp_shares=_shares(employees[emp_known]),
+            co2_known=co2_known,
+            co2=co2[co2_known],
+        )
 
-def _known_co2(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Known-emission mask and the emissions over it."""
-    co2 = net.co2_array()
-    known = ~np.isnan(co2)
-    return known, co2[known]
-
-
-def _weighted_loss(weights: np.ndarray | None, h: np.ndarray) -> float:
-    return 0.0 if weights is None else float(np.dot(weights, 1.0 - h))
-
-
-def esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
-    """Out-strength-share-weighted production loss at equilibrium."""
-    return _weighted_loss(_out_shares(net), eq.h)
-
-
-def ew_esri_of(net: ProductionNetwork, eq: EquilibriumState) -> float:
-    known, shares = _employment_shares(net)
-    return _weighted_loss(shares, eq.h[known])
-
-
-def eliminated_co2(net: ProductionNetwork, eq: EquilibriumState) -> float:
-    """Absolute emissions eliminated at equilibrium, over firms with data."""
-    known, co2 = _known_co2(net)
-    return _weighted_loss(co2, eq.h[known])
+    def score(self, h: np.ndarray) -> tuple[float, float, float]:
+        """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
+        loss = 1.0 - h
+        ew = math.nan if self.emp_known is None else float(np.dot(self.emp_shares, loss[self.emp_known]))
+        return float(np.dot(self.out_shares, loss)), ew, float(np.dot(self.co2, loss[self.co2_known]))
 
 
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
@@ -115,6 +109,9 @@ def ets_total_co2(net: ProductionNetwork) -> float:
 
 
 # -- scenario-level indices ----------------------------------------------------
+#
+# Each runs one propagation for one score; batch_indices and
+# evaluate_scenarios score many scenarios, all three scores from one run.
 
 
 def esri(
@@ -124,7 +121,8 @@ def esri(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
-    return esri_of(net, propagate(net, pf, scenario, tol=tol, max_iter=max_iter))
+    """Out-strength-share-weighted production loss of the scenario."""
+    return _Weights.of(net).score(propagate(net, pf, scenario, tol=tol, max_iter=max_iter).h)[0]
 
 
 def ew_esri(
@@ -134,7 +132,11 @@ def ew_esri(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
-    return ew_esri_of(net, propagate(net, pf, scenario, tol=tol, max_iter=max_iter))
+    """Employment-share-weighted production loss over firms with a known count."""
+    weights = _Weights.of(net)
+    if weights.emp_known is None:
+        raise NoEmploymentData("no firm has an employee count")
+    return weights.score(propagate(net, pf, scenario, tol=tol, max_iter=max_iter).h)[1]
 
 
 def co2_shares(
@@ -146,10 +148,10 @@ def co2_shares(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, float]:
     """Eliminated-emission shares of the economy-wide and ETS totals."""
-    eq = propagate(net, pf, scenario, tol=tol, max_iter=max_iter)
-    eliminated = eliminated_co2(net, eq)
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
+    eq = propagate(net, pf, scenario, tol=tol, max_iter=max_iter)
+    eliminated = _Weights.of(net).score(eq.h)[2]
     return eliminated / total, eliminated / ets_total if ets_total > 0.0 else 0.0
 
 
@@ -190,28 +192,28 @@ def _ratio(co2_share_total: float, ew: float) -> float:
     return math.inf if co2_share_total > 0.0 else 0.0
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """What every scenario of one evaluate_scenarios call shares."""
+
+    net: ProductionNetwork
+    pf: ProductionFunctionSet
+    weights: _Weights
+    tol: float
+    max_iter: int
+
+
 # Scenario evaluation shared by batch_indices and the strategy curves.
 # Worker processes are forked after _SHARED is set, so the network and
 # calibrated operators are inherited without serialization.
-_SHARED: dict | None = None
+_SHARED: _Batch | None = None
 
 
 def _eval_shared(task: tuple[int, tuple[str, ...]]) -> tuple[int, float, float, float, int, bool]:
     pos, removed_ids = task
-    ctx = _SHARED
-    eq = propagate(
-        ctx["net"], ctx["pf"], ShockScenario(removed_ids), tol=ctx["tol"], max_iter=ctx["max_iter"]
-    )
-    emp_known, emp_shares = ctx["employment"]
-    co2_known, co2 = ctx["co2"]
-    return (
-        pos,
-        _weighted_loss(ctx["out_shares"], eq.h),
-        _weighted_loss(emp_shares, eq.h[emp_known]) if emp_known is not None else math.nan,
-        _weighted_loss(co2, eq.h[co2_known]),
-        eq.iterations,
-        eq.converged,
-    )
+    b = _SHARED
+    eq = propagate(b.net, b.pf, ShockScenario(removed_ids), tol=b.tol, max_iter=b.max_iter)
+    return (pos, *b.weights.score(eq.h), eq.iterations, eq.converged)
 
 
 def evaluate_scenarios(
@@ -229,20 +231,8 @@ def evaluate_scenarios(
     worker count.  ew_esri is nan when no firm has an employee count.
     """
     global _SHARED
-    try:
-        employment = _employment_shares(net)
-    except NoEmploymentData:
-        employment = (None, None)
     _operators(net, pf)  # compile the sparse operators before forking workers
-    _SHARED = {
-        "net": net,
-        "pf": pf,
-        "tol": tol,
-        "max_iter": max_iter,
-        "out_shares": _out_shares(net),
-        "employment": employment,
-        "co2": _known_co2(net),
-    }
+    _SHARED = _Batch(net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter)
     try:
         tasks = list(enumerate(scenarios))
         n_workers = workers if workers is not None else (os.cpu_count() or 1)

@@ -100,10 +100,6 @@ class StrengthTable:
     def s_total(self) -> np.ndarray:
         return self.s_in + self.s_out
 
-    def of(self, firm_id: str) -> tuple[float, float, float]:
-        i = self.ids.index(firm_id)
-        return float(self.s_in[i]), float(self.s_out[i]), float(self.s_in[i] + self.s_out[i])
-
 
 @dataclass
 class ValidationReport:

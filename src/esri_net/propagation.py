@@ -59,10 +59,6 @@ class LevelState:
     def h(self) -> np.ndarray:
         return np.minimum(self.h_d, self.h_u)
 
-    def of(self, firm_id: str) -> tuple[float, float, float]:
-        i = self.ids.index(firm_id)
-        return float(self.h_d[i]), float(self.h_u[i]), float(min(self.h_d[i], self.h_u[i]))
-
 
 @dataclass(frozen=True)
 class EquilibriumState:
@@ -153,11 +149,9 @@ class _Operators:
 def _operators(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Operators:
     if pf.net is not net:
         raise ValueError("production functions were calibrated for a different network")
-    ops = getattr(pf, "_ops", None)
-    if ops is None:
-        ops = _Operators(net, pf)
-        pf._ops = ops
-    return ops
+    if pf._ops is None:
+        pf._ops = _Operators(net, pf)
+    return pf._ops
 
 
 def _removed_mask(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:

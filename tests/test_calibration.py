@@ -7,12 +7,14 @@ import pytest
 from esri_net import (
     EssentialityMatrix,
     Firm,
+    LevelState,
     ProductionNetwork,
     SupplyEdge,
     UnknownSector,
     calibrate,
     classify_inputs,
     compute_strengths,
+    production_step,
 )
 
 from conftest import FIG1, RandomCase
@@ -135,15 +137,38 @@ def test_beta_is_gamma_share_of_baseline(fig1_net, fig1_matrix):
     assert pf.function_of("e").beta == pytest.approx(pf.function_of("e").x0)
 
 
+def test_x0_positive_wherever_a_firm_has_inputs(fig1_net, fig1_matrix):
+    rng = np.random.default_rng(36)
+    cases = [RandomCase(rng) for _ in range(30)]
+    for net, matrix in [(c.net, c.matrix) for c in cases] + [(fig1_net, fig1_matrix)]:
+        part = classify_inputs(net, matrix)
+        s_in = compute_strengths(net).s_in
+        for rule in ("out", "max"):
+            x0 = calibrate(net, part, x0_rule=rule).x0
+            assert np.all(x0[s_in > 0.0] > 0.0)
+
+
+# -- the production function, one step in relative levels ----------------------
+#
+# production_step evaluates every firm's production function at its
+# suppliers' levels h_d, relative to the reference output: x0 maps to 1
+# and beta to gamma.
+
+
+def step_output(case, pf, levels: np.ndarray) -> np.ndarray:
+    """Relative output of every firm at the given supplier levels."""
+    state = LevelState(ids=case.net.ids, h_d=levels, h_u=np.ones(case.n))
+    return production_step(state, case.net, pf, ()).h_d
+
+
 def test_full_supply_reproduces_baseline():
     rng = np.random.default_rng(30)
     for _ in range(20):
         case = RandomCase(rng)
         for gamma in (0.0, 0.5, 1.0):
-            pf = case.pf(gamma)
-            for firm in case.net.firms:
-                full = pf.evaluate(firm.id, {i: 1.0 for i in case.ids})
-                assert full == pytest.approx(pf.function_of(firm.id).x0, abs=1e-12)
+            full = step_output(case, case.pf(gamma), np.ones(case.n))
+            for i in range(case.n):
+                assert full[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_losing_any_essential_group_kills_output():
@@ -152,13 +177,12 @@ def test_losing_any_essential_group_kills_output():
     for _ in range(30):
         case = RandomCase(rng)
         pf = case.pf(0.5)
-        for firm in case.net.firms:
-            f = pf.function_of(firm.id)
-            for group in f.essential_groups:
-                levels = {i: 1.0 for i in case.ids}
+        for i, firm in enumerate(case.net.firms):
+            for group in pf.function_of(firm.id).essential_groups:
+                levels = np.ones(case.n)
                 for member in group.members:
-                    levels[member] = 0.0
-                assert f.evaluate(levels) == pytest.approx(0.0, abs=1e-12)
+                    levels[case.ids.index(member)] = 0.0
+                assert step_output(case, pf, levels)[i] == pytest.approx(0.0, abs=1e-12)
                 checked += 1
     assert checked > 20
 
@@ -169,14 +193,14 @@ def test_losing_all_nonessential_inputs_floors_at_beta():
     for _ in range(30):
         case = RandomCase(rng)
         pf = case.pf(0.4)
-        for firm in case.net.firms:
+        for i, firm in enumerate(case.net.firms):
             f = pf.function_of(firm.id)
             if not f.nonessential or f.essential_groups:
                 continue
-            levels = {i: 1.0 for i in case.ids}
+            levels = np.ones(case.n)
             for member in f.nonessential:
-                levels[member] = 0.0
-            assert f.evaluate(levels) == pytest.approx(f.beta, abs=1e-12)
+                levels[case.ids.index(member)] = 0.0
+            assert step_output(case, pf, levels)[i] == pytest.approx(0.4, abs=1e-12)
             checked += 1
     assert checked > 5
 
@@ -185,12 +209,11 @@ def test_gamma_one_ignores_nonessential_inputs():
     rng = np.random.default_rng(33)
     case = RandomCase(rng)
     pf = case.pf(1.0)
-    for firm in case.net.firms:
-        f = pf.function_of(firm.id)
-        if f.essential_groups:
+    out = step_output(case, pf, np.zeros(case.n))
+    for i, firm in enumerate(case.net.firms):
+        if pf.function_of(firm.id).essential_groups:
             continue
-        levels = {i: 0.0 for i in case.ids}
-        assert f.evaluate(levels) == pytest.approx(f.x0, abs=1e-12)
+        assert out[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_is_monotone_in_each_supplier():
@@ -198,26 +221,26 @@ def test_evaluate_is_monotone_in_each_supplier():
     for _ in range(10):
         case = RandomCase(rng)
         pf = case.pf(0.5)
-        for firm in case.net.firms:
+        for i, firm in enumerate(case.net.firms):
             f = pf.function_of(firm.id)
-            base = {i: float(rng.uniform(0.0, 1.0)) for i in case.ids}
-            lo = f.evaluate(base)
+            base = np.array([float(rng.uniform(0.0, 1.0)) for _ in case.ids])
+            lo = step_output(case, pf, base)[i]
             for supplier in list(f.nonessential) + [
                 m for g in f.essential_groups for m in g.members
             ]:
-                bumped = dict(base)
-                bumped[supplier] = min(1.0, base[supplier] + 0.3)
-                assert f.evaluate(bumped) >= lo - 1e-12
+                bumped = base.copy()
+                j = case.ids.index(supplier)
+                bumped[j] = min(1.0, base[j] + 0.3)
+                assert step_output(case, pf, bumped)[i] >= lo - 1e-12
 
 
 def test_output_is_capped_at_baseline():
     rng = np.random.default_rng(35)
     case = RandomCase(rng)
     pf = case.pf(0.5)
-    for firm in case.net.firms:
-        f = pf.function_of(firm.id)
-        over = {i: 2.0 for i in case.ids}  # oversupply cannot beat x0
-        assert f.evaluate(over) <= f.x0 + 1e-12
+    over = step_output(case, pf, np.full(case.n, 2.0))  # oversupply cannot beat x0
+    for i in range(case.n):
+        assert over[i] <= 1.0 + 1e-12
 
 
 def test_audit_rows_cover_all_firms(fig1_net, fig1_matrix):

@@ -217,6 +217,22 @@ def test_fit_regimes_from_indices_csv(tmp_path, capsys):
 
 def test_fit_regimes_requires_a_source(capsys):
     assert run(["fit-regimes"]) == 3
+    assert "MissingUpstream" in capsys.readouterr().err
+
+
+def test_fit_regimes_from_net_honours_total_co2(tmp_path, capsys):
+    # ratio scales with 1/total, so the total decides which regime a firm is in
+    net_dir = tmp_path / "net"
+    assert run(["synth", "--out", net_dir, "--n-firms", 300, "--n-edges", 1200,
+                "--n-ets", 60, "--seed", 2]) == 0
+    total = ["--total-co2", 1e7]
+    regimes = ["--hi", 1.0, "--lo", 0.01]
+    assert run(["esri", "--net", net_dir, *total, "--out", tmp_path / "idx", "--threads", 1]) == 0
+    capsys.readouterr()
+    assert run(["fit-regimes", "--indices", tmp_path / "idx" / "indices.csv", *regimes]) == 0
+    from_indices = json.loads(capsys.readouterr().out)
+    assert run(["fit-regimes", "--net", net_dir, *total, *regimes, "--threads", 1]) == 0
+    assert json.loads(capsys.readouterr().out) == from_indices
 
 
 def test_fit_regimes_thin_regime_exit_3(tmp_path, capsys):

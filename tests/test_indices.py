@@ -41,6 +41,7 @@ def test_esri_on_bundled_example(fig1_net, fig1_pf):
     assert esri(fig1_net, fig1_pf, ["d"]) == pytest.approx(0.6875, abs=1e-12)
     assert esri(fig1_net, fig1_pf, ["a"]) == pytest.approx(0.15625, abs=1e-12)
     assert esri(fig1_net, fig1_pf, ()) == 0.0
+    assert esri(fig1_net, fig1_pf, "d") == esri(fig1_net, fig1_pf, ["d"])  # a lone id is one firm
 
 
 def test_ew_esri_on_bundled_example(fig1_net, fig1_pf):
@@ -62,6 +63,32 @@ def test_partial_shortfalls_count_toward_eliminated_co2(fig1_net, fig1_pf):
     total, _ = co2_shares(fig1_net, fig1_pf, ["d"])
     hand = (3 * 1.0 + 1 * 1.0 + 2 * 0.5) / 10.0
     assert total == pytest.approx(hand, abs=1e-12)
+
+
+# -- one propagation, one scorer ---------------------------------------------------
+
+
+def assert_one_path(net, pf, scenarios, total_co2=None):
+    """The public indices equal the batch rows of the same scenarios exactly."""
+    total = resolve_total_co2(net, total_co2)
+    ets_total = ets_total_co2(net)
+    rows = evaluate_scenarios(net, pf, scenarios, workers=1)
+    for ids, (esri_v, ew_v, elim, _, _) in zip(scenarios, rows):
+        assert esri(net, pf, ids) == esri_v
+        assert ew_esri(net, pf, ids) == ew_v
+        assert co2_shares(net, pf, ids, total_co2=total_co2) == (
+            elim / total, elim / ets_total if ets_total > 0.0 else 0.0
+        )
+
+
+def test_public_indices_match_batch_rows(fig1_net, fig1_pf):
+    assert_one_path(fig1_net, fig1_pf, [(), ("a",), ("d",), ("a", "b"), ("c", "d", "e")])
+    rng = np.random.default_rng(52)
+    for _ in range(20):
+        case = RandomCase(rng)
+        total = None if any(c is not None for c in case.co2) else 1.0
+        scenarios = [(), (case.ids[0],), case.scenario_ids(rng), case.scenario_ids(rng)]
+        assert_one_path(case.net, case.pf(0.5), scenarios, total_co2=total)
 
 
 # -- employment weighting --------------------------------------------------------
