@@ -188,8 +188,9 @@ class ProductionFunctionSet:
       - essential edges are sorted by (buyer, supplier sector) into
         contiguous groups; group g spans es_group_ptr[g]:es_group_ptr[g+1]
         inside the sorted edge arrays and belongs to es_group_owner[g];
-      - groups themselves are sorted by owner so a per-firm minimum is a
-        single reduceat over firm_group_ptr;
+      - groups themselves are sorted by owner; firm_group_ptr[i]:
+        firm_group_ptr[i+1] is the group range of firm i, and the
+        propagation engine reorders the groups by their rank within it;
       - non-essential edges aggregate through one weighted average per firm.
     """
 

@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,11 +176,15 @@ class IndexTable:
     total_co2: float
     ets_total_co2: float
 
+    @cached_property
+    def _by_id(self) -> dict[str, IndexRow]:
+        return {r.firm_id: r for r in reversed(self.rows)}  # the first row of an id wins
+
     def row(self, firm_id: str) -> IndexRow:
-        for r in self.rows:
-            if r.firm_id == firm_id:
-                return r
-        raise KeyError(f"no index row for firm {firm_id!r}")
+        try:
+            return self._by_id[firm_id]
+        except KeyError:
+            raise KeyError(f"no index row for firm {firm_id!r}") from None
 
     def finite_ratios_descending(self) -> list[float]:
         values = [r.ratio for r in self.rows if r.error is None and math.isfinite(r.ratio) and r.ratio > 0.0]

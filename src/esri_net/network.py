@@ -18,6 +18,7 @@ weight value, self-loop, supplier id, buyer id.
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import math
 from contextlib import contextmanager
@@ -338,6 +339,18 @@ def _csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> Iterator[It
         yield rows
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection; restore the caller's setting on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _at_row(fault: NetworkError, path: str | Path, row_no: int) -> NetworkError:
     """The same fault, with the file name and row number in front."""
     return type(fault)(f"{Path(path).name} row {row_no}: {fault}")
@@ -440,32 +453,34 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
     row number.  Edge rows are checked a block at a time with array masks;
     only a block that holds a fault is walked row by row to name it.
     """
-    firms: list[Firm] = []
-    with _csv_rows(firm_file, FIRM_COLUMNS) as rows:
-        for row_no, row in enumerate(rows, start=2):
-            try:
-                firms.append(_parse_firm(row))
-            except NetworkError as fault:
-                raise _at_row(fault, firm_file, row_no) from None
+    # the per-row lists csv.reader yields would trigger cyclic GC passes
+    with _gc_paused():
+        firms: list[Firm] = []
+        with _csv_rows(firm_file, FIRM_COLUMNS) as rows:
+            for row_no, row in enumerate(rows, start=2):
+                try:
+                    firms.append(_parse_firm(row))
+                except NetworkError as fault:
+                    raise _at_row(fault, firm_file, row_no) from None
 
-    index = {f.id: pos for pos, f in enumerate(firms)}
-    if len(index) != len(firms):
-        repeat_id = _first_repeat(f.id for f in firms)
-        raise DuplicateFirmId(f"duplicate firm id {repeat_id!r} in {Path(firm_file).name}")
+        index = {f.id: pos for pos, f in enumerate(firms)}
+        if len(index) != len(firms):
+            repeat_id = _first_repeat(f.id for f in firms)
+            raise DuplicateFirmId(f"duplicate firm id {repeat_id!r} in {Path(firm_file).name}")
 
-    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
-    with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
-        row_no = 2
-        while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
-            arrays = _edge_block(block, index)
-            if arrays is None:
-                for k, row in enumerate(block):
-                    try:
-                        _check_edge_row(row, index)
-                    except NetworkError as fault:
-                        raise _at_row(fault, edge_file, row_no + k) from None
-            blocks.append(arrays)
-            row_no += len(block)
+        blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
+        with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
+            row_no = 2
+            while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
+                arrays = _edge_block(block, index)
+                if arrays is None:
+                    for k, row in enumerate(block):
+                        try:
+                            _check_edge_row(row, index)
+                        except NetworkError as fault:
+                            raise _at_row(fault, edge_file, row_no + k) from None
+                blocks.append(arrays)
+                row_no += len(block)
     sup, buy, wgt = (np.concatenate(column) for column in zip(*blocks))
     return ProductionNetwork.from_arrays(firms, sup, buy, wgt)
 

@@ -11,6 +11,17 @@ the reported production level of a firm is h = min(h_d, h_u).
 Both channel maps are monotone and start at a state they map downward,
 so levels descend pointwise and the iteration always converges; the loop
 stops once the sup-norm step change falls below tol.
+
+The state is one stacked vector x = [h_d; h_u] of length 2n, and a step
+is two sparse products.  The downstream operator D multiplies h_d; its
+rows are the essential groups in slot order (first the first group of
+every firm that has one, then the second group of every firm with at
+least two, and so on), followed by one non-essential average per firm
+that has non-essential inputs.  The per-firm group minimum is then one
+scatter of slot 0 and an elementwise minimum per further slot, and the
+non-essential term reads a contiguous slice of D @ h_d.  The upstream
+operator U multiplies h_u.  Removed firms and firms without customers
+are integer index arrays into x.
 """
 from __future__ import annotations
 
@@ -80,70 +91,79 @@ class EquilibriumState:
 
 
 class _Operators:
-    """Sparse one-step update operators compiled from a calibrated model."""
+    """The one Jacobi step, compiled from a calibrated model.
+
+    The step maps a stacked state x = [h_d; h_u] (length 2n) to the next
+    one with two sparse products: the downstream operator D on h_d and the
+    upstream operator U on h_u.
+    """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
         n = net.n_firms
         self.n = n
         self.gamma = pf.gamma
 
-        # essential groups: availability_g = sum_k(w_k * h_d[supplier_k]) / W_g
-        n_groups = pf.es_group_owner.size
-        if n_groups:
-            rows = np.repeat(np.arange(n_groups), np.diff(pf.es_group_ptr))
-            data = pf.es_weight / pf.es_group_weight[rows]
-            self.E = sp.csr_matrix((data, (rows, pf.es_supplier)), shape=(n_groups, n))
-        else:
-            self.E = None
-        self.has_groups = np.diff(pf.firm_group_ptr) > 0
-        self.group_firms = np.flatnonzero(self.has_groups)
-        self.group_starts = pf.firm_group_ptr[self.group_firms]
+        # D's rows: essential group availabilities sum_k(w_k * h_d[supplier_k]) / W_g
+        # in slot order (slot k holds the k-th group of every firm that has more
+        # than k, firms ascending), then the non-essential averages
+        # nu_i = sum_k(w_k * h_d[supplier_k]) / W_i of the has_ne firms
+        owner = pf.es_group_owner
+        n_groups = owner.size
+        slot = np.arange(n_groups) - pf.firm_group_ptr[owner]
+        order = np.argsort(slot, kind="stable")
+        group_row = np.empty(n_groups, dtype=np.int32)
+        group_row[order] = np.arange(n_groups, dtype=np.int32)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(slot)))).tolist()
+        self.slots = [(owner[order[lo:hi]], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.ne_firms = np.flatnonzero(pf.has_ne)
+        self.ne_rows = slice(n_groups, n_groups + self.ne_firms.size)
+        ne_row = (np.cumsum(pf.has_ne, dtype=np.int32) - 1) + np.int32(n_groups)
 
-        # non-essential average: nu_i = sum_k(w_k * h_d[supplier_k]) / W_i
-        if pf.ne_supplier.size:
-            data = pf.ne_weight / pf.ne_firm_weight[pf.ne_buyer]
-            self.N = sp.csr_matrix((data, (pf.ne_buyer, pf.ne_supplier)), shape=(n, n))
-        else:
-            self.N = None
-        self.has_ne = pf.has_ne
+        edge_group = np.repeat(np.arange(n_groups), np.diff(pf.es_group_ptr))
+        rows = np.concatenate((group_row[edge_group], ne_row[pf.ne_buyer]))
+        cols = np.concatenate((pf.es_supplier, pf.ne_supplier), dtype=np.int32)
+        data = np.concatenate(
+            (
+                pf.es_weight / pf.es_group_weight[edge_group],
+                pf.ne_weight / pf.ne_firm_weight[pf.ne_buyer],
+            )
+        )
+        self.D = sp.csr_matrix((data, (rows, cols)), shape=(n_groups + self.ne_firms.size, n))
+        del edge_group, rows, cols, data  # keeps the compile's peak memory down
 
         # upstream average: h_u_i = sum_j(W_ij * h_u[customer_j]) / s_out_i
         s_out = compute_strengths(net).s_out
-        sellers = s_out > 0.0
-        if net.n_edges:
-            data = net.weights / s_out[net.supplier_idx]
-            self.U = sp.csr_matrix(
-                (data, (net.supplier_idx, net.buyer_idx)), shape=(n, n)
-            )
-        else:
-            self.U = None
-        self.no_customers = ~sellers
+        self.U = sp.csr_matrix(
+            (net.weights / s_out[net.supplier_idx], (net.supplier_idx, net.buyer_idx)),
+            shape=(n, n),
+        )
+        # positions of h_u that stay at 1: firms without customers
+        self.no_customers = np.flatnonzero(~(s_out > 0.0)) + n
 
-    def step(
-        self, h_d: np.ndarray, h_u: np.ndarray, removed: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One synchronous update of both channels; removed stays clamped."""
-        new_d = np.ones(self.n)
-        if self.E is not None:
-            avail = self.E @ h_d
-            new_d[self.group_firms] = np.minimum.reduceat(avail, self.group_starts)
-        if self.N is not None:
-            nu = self.N @ h_d
-            ne_term = self.gamma + (1.0 - self.gamma) * nu[self.has_ne]
-            np.minimum(new_d[self.has_ne], ne_term, out=ne_term)
-            new_d[self.has_ne] = ne_term
-        np.clip(new_d, 0.0, 1.0, out=new_d)
-        new_d[removed] = 0.0
+    def step(self, x: np.ndarray, removed: np.ndarray, out: np.ndarray) -> None:
+        """One synchronous update of the stacked state x into out.
 
-        if self.U is not None:
-            new_u = self.U @ h_u
-            # row sums of U are 1 only up to rounding; keep levels in [0, 1]
-            np.clip(new_u, 0.0, 1.0, out=new_u)
-            new_u[self.no_customers] = 1.0
-        else:
-            new_u = np.ones(self.n)
-        new_u[removed] = 0.0
-        return new_d, new_u
+        removed holds the stacked positions of the removed firms (from
+        _removed_index); they stay clamped at 0.
+        """
+        n = self.n
+        avail = self.D @ x[:n]
+        new_d = out[:n]
+        new_d.fill(1.0)
+        for k, (firms, lo, hi) in enumerate(self.slots):
+            new_d[firms] = avail[lo:hi] if k == 0 else np.minimum(new_d[firms], avail[lo:hi])
+        # gamma + (1 - gamma) * nu, in place; + and * commute exactly
+        ne_term = avail[self.ne_rows]
+        ne_term *= 1.0 - self.gamma
+        ne_term += self.gamma
+        np.minimum(new_d[self.ne_firms], ne_term, out=ne_term)
+        new_d[self.ne_firms] = ne_term
+
+        out[n:] = self.U @ x[n:]
+        # row sums of D and U are 1 only up to rounding; keep levels in [0, 1]
+        np.clip(out, 0.0, 1.0, out=out)
+        out[self.no_customers] = 1.0
+        out[removed] = 0.0
 
 
 def _operators(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Operators:
@@ -154,14 +174,19 @@ def _operators(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Operators:
     return pf._ops
 
 
-def _removed_mask(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
+def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
+    """Positions of the removed firms in the stacked state [h_d; h_u]."""
     unknown = [fid for fid in scenario.removed if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown firm id(s) in scenario: {', '.join(sorted(unknown))}")
-    mask = np.zeros(net.n_firms, dtype=bool)
-    for fid in scenario.removed:
-        mask[net.index_of(fid)] = True
-    return mask
+    idx = np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
+    return np.concatenate((idx, idx + net.n_firms))
+
+
+def _shocked_ones(net: ProductionNetwork, removed: np.ndarray) -> np.ndarray:
+    x = np.ones(2 * net.n_firms)
+    x[removed] = 0.0
+    return x
 
 
 def as_scenario(scenario: ShockScenario | Iterable[str]) -> ShockScenario:
@@ -183,20 +208,20 @@ def production_step(
 ) -> LevelState:
     """One synchronous update of the given state under the scenario."""
     ops = _operators(net, pf)
-    removed = _removed_mask(net, as_scenario(scenario))
-    h_d = np.where(removed, 0.0, np.asarray(state.h_d, dtype=float))
-    h_u = np.where(removed, 0.0, np.asarray(state.h_u, dtype=float))
-    new_d, new_u = ops.step(h_d, h_u, removed)
-    return LevelState(ids=net.ids, h_d=new_d, h_u=new_u)
+    removed = _removed_index(net, as_scenario(scenario))
+    x = np.concatenate((np.asarray(state.h_d, dtype=float), np.asarray(state.h_u, dtype=float)))
+    x[removed] = 0.0
+    out = np.empty_like(x)
+    ops.step(x, removed, out)
+    n = net.n_firms
+    return LevelState(ids=net.ids, h_d=out[:n], h_u=out[n:])
 
 
 def initial_state(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> LevelState:
     """All firms at full production except removed ones clamped to 0."""
-    removed = _removed_mask(net, as_scenario(scenario))
-    ones = np.ones(net.n_firms)
-    return LevelState(
-        ids=net.ids, h_d=np.where(removed, 0.0, ones), h_u=np.where(removed, 0.0, ones)
-    )
+    x = _shocked_ones(net, _removed_index(net, as_scenario(scenario)))
+    n = net.n_firms
+    return LevelState(ids=net.ids, h_d=x[:n], h_u=x[n:])
 
 
 def propagate(
@@ -218,25 +243,26 @@ def propagate(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ops = _operators(net, pf)
-    removed = _removed_mask(net, as_scenario(scenario))
-    h_d = np.where(removed, 0.0, np.ones(net.n_firms))
-    h_u = h_d.copy()
+    removed = _removed_index(net, as_scenario(scenario))
+    x = _shocked_ones(net, removed)
+    out = np.empty_like(x)
 
     iterations = 0
     max_delta = np.inf
     converged = False
     while iterations < max_iter:
-        new_d, new_u = ops.step(h_d, h_u, removed)
+        ops.step(x, removed, out)
         iterations += 1
-        max_delta = max(
-            float(np.max(np.abs(new_d - h_d), initial=0.0)),
-            float(np.max(np.abs(new_u - h_u), initial=0.0)),
-        )
-        h_d, h_u = new_d, new_u
+        # the old state is spent: it takes the step change, then the next step
+        np.subtract(out, x, out=x)
+        max_delta = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+        x, out = out, x
         if max_delta <= tol:
             converged = True
             break
 
+    n = net.n_firms
+    h_d, h_u = x[:n], x[n:]
     return EquilibriumState(
         ids=net.ids,
         h_d=h_d,

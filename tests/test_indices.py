@@ -196,6 +196,14 @@ def test_batch_reports_unknown_ids_as_row_errors(fig1_net, fig1_pf, capsys):
     assert math.isnan(bad.esri)
 
 
+def test_index_table_row_lookup(fig1_net, fig1_pf):
+    table = batch_indices(fig1_net, fig1_pf, ["d", "a", "d"], workers=1)
+    assert table.row("d") is table.rows[0]
+    assert table.row("a") is table.rows[1]
+    with pytest.raises(KeyError, match=r"no index row for firm 'b'"):
+        table.row("b")
+
+
 def test_infinite_ratio_for_jobless_emitter():
     # x burns a lot, employs nobody on record, and supplies nobody
     net, pf = tiny_net(

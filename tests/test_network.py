@@ -1,6 +1,8 @@
 """Ingestion, validation, and strength accounting."""
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,6 +89,38 @@ def test_bad_header_rejected(tmp_path):
     (tmp_path / "bade.csv").write_text("src,dst,weight\na,b,1\n")
     with pytest.raises(SchemaError):
         load_network(fp, tmp_path / "bade.csv")
+
+
+def test_load_pauses_gc_and_restores_it_after_a_fault(tmp_path, monkeypatch):
+    seen = []
+    parse = network_module._parse_firm
+
+    def spy(row):
+        seen.append(gc.isenabled())
+        return parse(row)
+
+    monkeypatch.setattr(network_module, "_parse_firm", spy)
+    fp, ep = write_pair(tmp_path, edges=GOOD_EDGES + [["a", "b", "x"]])
+    assert gc.isenabled()
+    with pytest.raises(SchemaError, match=r"^edges\.csv row 3: "):
+        load_network(fp, ep)
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_load_leaves_gc_disabled_when_the_caller_disabled_it(tmp_path):
+    bad_fp, bad_ep = write_pair(tmp_path, edges=GOOD_EDGES + [["a", "b", "x"]])
+    (tmp_path / "good").mkdir()
+    fp, ep = write_pair(tmp_path / "good")
+    gc.disable()
+    try:
+        with pytest.raises(SchemaError):
+            load_network(bad_fp, bad_ep)
+        assert not gc.isenabled()
+        assert load_network(fp, ep).n_edges == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_firm_row_errors(tmp_path):

@@ -4,13 +4,21 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from esri_net import (
+    EssentialityMatrix,
     Firm,
     InvalidScenario,
+    LevelState,
     ProductionNetwork,
     ShockScenario,
     SupplyEdge,
+    SynthParams,
+    calibrate,
+    classify_inputs,
+    compute_strengths,
+    generate,
     initial_state,
     production_step,
     propagate,
@@ -205,3 +213,170 @@ def test_matches_dense_reference():
         npt.assert_allclose(eq.h_d, ref_d, rtol=0, atol=1e-10)
         npt.assert_allclose(eq.h_u, ref_u, rtol=0, atol=1e-10)
         npt.assert_allclose(eq.h, ref_h, rtol=0, atol=1e-10)
+
+
+# -- bit-identity with the previous step ---------------------------------------
+
+
+class _ReferenceStep:
+    """Frozen copy of the step the engine replaced, kept as a reference.
+
+    Three operators (essential groups E, non-essential averages N, upstream
+    U), a per-firm group minimum by reduceat, and boolean masks for the
+    non-essential firms, the firms without customers and the removed ones.
+    """
+
+    def __init__(self, net, pf):
+        n = net.n_firms
+        self.n = n
+        self.gamma = pf.gamma
+        n_groups = pf.es_group_owner.size
+        if n_groups:
+            rows = np.repeat(np.arange(n_groups), np.diff(pf.es_group_ptr))
+            data = pf.es_weight / pf.es_group_weight[rows]
+            self.E = sp.csr_matrix((data, (rows, pf.es_supplier)), shape=(n_groups, n))
+        else:
+            self.E = None
+        self.group_firms = np.flatnonzero(np.diff(pf.firm_group_ptr) > 0)
+        self.group_starts = pf.firm_group_ptr[self.group_firms]
+        if pf.ne_supplier.size:
+            data = pf.ne_weight / pf.ne_firm_weight[pf.ne_buyer]
+            self.N = sp.csr_matrix((data, (pf.ne_buyer, pf.ne_supplier)), shape=(n, n))
+        else:
+            self.N = None
+        self.has_ne = pf.has_ne
+        s_out = compute_strengths(net).s_out
+        if net.n_edges:
+            data = net.weights / s_out[net.supplier_idx]
+            self.U = sp.csr_matrix((data, (net.supplier_idx, net.buyer_idx)), shape=(n, n))
+        else:
+            self.U = None
+        self.no_customers = ~(s_out > 0.0)
+
+    def step(self, h_d, h_u, removed):
+        new_d = np.ones(self.n)
+        if self.E is not None:
+            avail = self.E @ h_d
+            new_d[self.group_firms] = np.minimum.reduceat(avail, self.group_starts)
+        if self.N is not None:
+            nu = self.N @ h_d
+            ne_term = self.gamma + (1.0 - self.gamma) * nu[self.has_ne]
+            np.minimum(new_d[self.has_ne], ne_term, out=ne_term)
+            new_d[self.has_ne] = ne_term
+        np.clip(new_d, 0.0, 1.0, out=new_d)
+        new_d[removed] = 0.0
+        if self.U is not None:
+            new_u = self.U @ h_u
+            np.clip(new_u, 0.0, 1.0, out=new_u)
+            new_u[self.no_customers] = 1.0
+        else:
+            new_u = np.ones(self.n)
+        new_u[removed] = 0.0
+        return new_d, new_u
+
+
+def _reference_mask(net, ids):
+    mask = np.zeros(net.n_firms, dtype=bool)
+    for fid in ids:
+        mask[net.index_of(fid)] = True
+    return mask
+
+
+def _reference_propagate(net, pf, ids, tol=1e-9, max_iter=1000):
+    ref = _ReferenceStep(net, pf)
+    removed = _reference_mask(net, ids)
+    h_d = np.where(removed, 0.0, np.ones(net.n_firms))
+    h_u = h_d.copy()
+    iterations, max_delta, converged = 0, np.inf, False
+    while iterations < max_iter:
+        new_d, new_u = ref.step(h_d, h_u, removed)
+        iterations += 1
+        max_delta = max(
+            float(np.max(np.abs(new_d - h_d), initial=0.0)),
+            float(np.max(np.abs(new_u - h_u), initial=0.0)),
+        )
+        h_d, h_u = new_d, new_u
+        if max_delta <= tol:
+            converged = True
+            break
+    return h_d, h_u, iterations, max_delta, converged
+
+
+def _assert_same_as_reference(net, pf, ids, **kw):
+    eq = propagate(net, pf, ids, **kw)
+    h_d, h_u, iterations, max_delta, converged = _reference_propagate(net, pf, ids, **kw)
+    assert np.array_equal(eq.h_d, h_d)
+    assert np.array_equal(eq.h_u, h_u)
+    assert np.array_equal(eq.h, np.minimum(h_d, h_u))
+    assert eq.iterations == iterations
+    assert eq.max_delta == max_delta
+    assert eq.converged == converged
+
+
+def test_bit_identical_to_reference_on_fig1(fig1_net, fig1_pf):
+    for ids in ((), ("d",), ("a", "b"), ("c", "e"), tuple("abcde")):
+        _assert_same_as_reference(fig1_net, fig1_pf, ids)
+    _assert_same_as_reference(fig1_net, fig1_pf, ("d",), max_iter=1)
+
+
+def test_bit_identical_to_reference_on_random_cases():
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        case = RandomCase(rng)
+        pf = case.pf(float(rng.choice([0.0, 0.3, 0.5, 1.0])))
+        _assert_same_as_reference(case.net, pf, case.scenario_ids(rng))
+        _assert_same_as_reference(case.net, pf, case.scenario_ids(rng), tol=1e-13, max_iter=5000)
+
+
+@pytest.fixture(scope="module")
+def multi_group_model():
+    net = generate(SynthParams(n_firms=2_000, n_edges=12_000, n_ets=40, seed=9))
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+    return net, pf
+
+
+def test_bit_identical_to_reference_on_a_generated_network(multi_group_model):
+    net, pf = multi_group_model
+    groups_per_firm = np.bincount(np.diff(pf.firm_group_ptr))
+    assert groups_per_firm.size >= 4 and groups_per_firm[2] > 0 and groups_per_firm[3] > 0
+    assert (compute_strengths(net).s_out == 0.0).any()  # firms without customers
+    ets = [f.id for f in net.firms if f.ets_member]
+    for fid in ets[:6]:
+        _assert_same_as_reference(net, pf, (fid,))
+    for k in (2, 5, 12):
+        _assert_same_as_reference(net, pf, tuple(ets[:k]))
+    _assert_same_as_reference(net, pf, ())
+    _assert_same_as_reference(net, pf, tuple(ets[:3]), max_iter=7)
+
+
+def test_bit_identical_to_reference_on_corner_networks():
+    rng = np.random.default_rng(47)
+    case = RandomCase(rng)
+    while case.n < 8:
+        case = RandomCase(rng)
+    all_essential = EssentialityMatrix(
+        pairs={pair: True for pair in case.ess}, default_rule="non-essential", source="all"
+    )
+    none_essential = EssentialityMatrix(pairs={}, default_rule="non-essential", source="none")
+    edgeless = ProductionNetwork(case.net.firms, [])
+    corners = ((edgeless, none_essential), (case.net, none_essential), (case.net, all_essential))
+    for net, matrix in corners:
+        pf = calibrate(net, classify_inputs(net, matrix), gamma=0.5)
+        assert pf.es_supplier.size == 0 or pf.ne_supplier.size == 0
+        for ids in ((), case.ids[:1], case.ids[1:4], tuple(case.ids)):
+            _assert_same_as_reference(net, pf, ids)
+
+
+def test_production_step_matches_reference_from_a_mixed_state(multi_group_model):
+    net, pf = multi_group_model
+    rng = np.random.default_rng(48)
+    ids = tuple(f.id for f in net.firms if f.ets_member)[:4]
+    h_d = rng.uniform(0.0, 1.0, net.n_firms)
+    h_u = rng.uniform(0.0, 1.0, net.n_firms)
+    nxt = production_step(LevelState(net.ids, h_d, h_u), net, pf, ids)
+    removed = _reference_mask(net, ids)
+    ref_d, ref_u = _ReferenceStep(net, pf).step(
+        np.where(removed, 0.0, h_d), np.where(removed, 0.0, h_u), removed
+    )
+    assert np.array_equal(nxt.h_d, ref_d)
+    assert np.array_equal(nxt.h_u, ref_u)
