@@ -300,14 +300,17 @@ class ProductionFunctionSet:
             alpha_ne=alpha_ne,
         )
 
+    def audit_columns(
+        self,
+    ) -> tuple[tuple[str, ...], list[float], list[float], list[int], list[int]]:
+        """firm_id, x0, beta, n_essential_groups and n_nonessential, each over all firms."""
+        n_groups = np.diff(self.firm_group_ptr)
+        n_ne = np.bincount(self.ne_buyer, minlength=self.net.n_firms)
+        return self.net.ids, self.x0.tolist(), self.beta.tolist(), n_groups.tolist(), n_ne.tolist()
+
     def audit_rows(self) -> list[tuple[str, float, float, int, int]]:
         """(firm_id, x0, beta, n_essential_groups, n_nonessential) per firm."""
-        n_groups = np.diff(self.firm_group_ptr)
-        n_ne = np.bincount(self.ne_buyer, minlength=self.net.n_firms).astype(int)
-        return [
-            (f.id, float(self.x0[i]), float(self.beta[i]), int(n_groups[i]), int(n_ne[i]))
-            for i, f in enumerate(self.net.firms)
-        ]
+        return list(zip(*self.audit_columns()))
 
 
 def calibrate(

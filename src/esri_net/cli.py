@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import os
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .calibration import (
@@ -67,12 +68,14 @@ class MissingUpstream(Exception):
 # -- small atomic-output helpers ------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces path only once the block completes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,16 +83,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
+    """Write the rows, which may be a lazy iterable, straight into the file."""
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_config(out_dir: Path, command: str, args: argparse.Namespace) -> None:
@@ -134,10 +138,11 @@ def _calibrated(args: argparse.Namespace, net: ProductionNetwork) -> ProductionF
 
 
 def _write_audit(out: Path, pf: ProductionFunctionSet) -> None:
+    ids, x0, beta, n_groups, n_ne = pf.audit_columns()
     _write_csv(
         out / "calibration_audit.csv",
         ("firm_id", "x0", "beta", "n_essential_groups", "n_nonessential"),
-        [(fid, _fmt(x0), _fmt(beta), ng, nn) for fid, x0, beta, ng, nn in pf.audit_rows()],
+        zip(ids, map(repr, x0), map(repr, beta), n_groups, n_ne),
     )
 
 

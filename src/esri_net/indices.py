@@ -251,9 +251,10 @@ def evaluate_scenarios(
                 log.warning("fork unavailable; evaluating scenarios sequentially")
                 raw = [_eval_shared(t) for t in tasks]
             else:
-                chunk = max(1, len(tasks) // (4 * n_workers))
+                # a scenario costs far more than a task's round trip, so hand
+                # them out one at a time and no worker is left with a long tail
                 with ctx.Pool(processes=n_workers) as pool:
-                    raw = pool.map(_eval_shared, tasks, chunksize=chunk)
+                    raw = pool.map(_eval_shared, tasks, chunksize=1)
     finally:
         _SHARED = None
     ordered = sorted(raw)

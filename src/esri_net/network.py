@@ -23,6 +23,7 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -252,21 +253,43 @@ class ProductionNetwork:
             )
         return self._matrix
 
-    # -- vector views used across modules -----------------------------------
+    # -- vector views used across modules, built once and read-only ----------
 
     def employees_array(self) -> np.ndarray:
-        return np.array(
-            [np.nan if f.employees is None else float(f.employees) for f in self.firms]
-        )
+        return self._employees
 
     def co2_array(self) -> np.ndarray:
-        return np.array([np.nan if f.co2 is None else float(f.co2) for f in self.firms])
+        return self._co2
 
     def ets_mask(self) -> np.ndarray:
-        return np.array([f.ets_member for f in self.firms], dtype=bool)
+        return self._ets
+
+    @cached_property
+    def _employees(self) -> np.ndarray:
+        return _read_only(
+            [np.nan if f.employees is None else float(f.employees) for f in self.firms], float
+        )
+
+    @cached_property
+    def _co2(self) -> np.ndarray:
+        return _read_only([np.nan if f.co2 is None else float(f.co2) for f in self.firms], float)
+
+    @cached_property
+    def _ets(self) -> np.ndarray:
+        return _read_only([f.ets_member for f in self.firms], bool)
+
+    @cached_property
+    def _sectors(self) -> tuple[str, ...]:
+        return tuple(f.sector for f in self.firms)
 
     def sectors(self) -> tuple[str, ...]:
-        return tuple(f.sector for f in self.firms)
+        return self._sectors
+
+
+def _read_only(values: list, dtype: type) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def _first_repeat(ids: Iterable[str]) -> str | None:

@@ -13,19 +13,31 @@ so levels descend pointwise and the iteration always converges; the loop
 stops once the sup-norm step change falls below tol.
 
 The state is one stacked vector x = [h_d; h_u] of length 2n, and a step
-is two sparse products.  The downstream operator D multiplies h_d; its
-rows are the essential groups in slot order (first the first group of
-every firm that has one, then the second group of every firm with at
-least two, and so on), followed by one non-essential average per firm
-that has non-essential inputs.  The per-firm group minimum is then one
-scatter of slot 0 and an elementwise minimum per further slot, and the
-non-essential term reads a contiguous slice of D @ h_d.  The upstream
-operator U multiplies h_u.  Removed firms and firms without customers
-are integer index arrays into x.
+is two sparse products.  The engine keeps its own firm order in each
+channel, computed once at compile; propagate and production_step map
+removed firms into it and gather h_d and h_u back into firm order on
+exit.  Downstream, firms are sorted by class, [0 groups, 1 group, ...,
+G groups] without non-essential inputs, then [G, ..., 1, 0 groups] with
+them, so the firms with more than k essential groups and the firms with
+non-essential inputs each form one range.  The downstream operator D
+multiplies h_d; its rows are the essential groups in slot order (first
+the first group of every firm that has one, then the second group of
+every firm with at least two, and so on), followed by one non-essential
+average per firm that has non-essential inputs.  The per-firm group
+minimum is then one slice copy for slot 0 and an in-place minimum on a
+slice per further slot, and the non-essential term is one more.
+Upstream, firms with customers come first; U multiplies h_u and the
+firms without customers are the tail, filled with 1.
+
+Results are bit-identical to the same step in firm order because every
+row of D and U sums its terms in ascending firm order: both are built as
+canonical CSR with firm-order columns, which are then renamed in place
+and never sorted again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -83,19 +95,46 @@ class EquilibriumState:
     max_delta: float
     converged: bool
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {fid: pos for pos, fid in enumerate(self.ids)}
+
     def of(self, firm_id: str) -> float:
-        return float(self.h[self.ids.index(firm_id)])
+        try:
+            return float(self.h[self._position[firm_id]])
+        except KeyError:
+            raise ValueError(f"unknown firm id {firm_id!r}") from None
 
 
 # -- vectorized operators ------------------------------------------------------
 
 
+def _new_of_old(key: np.ndarray) -> np.ndarray:
+    """Engine position of every firm: firms sorted by key, ties in firm order."""
+    order = np.argsort(key, kind="stable")
+    pos = np.empty(key.size, dtype=np.int32)
+    pos[order] = np.arange(key.size, dtype=np.int32)
+    return pos
+
+
+def _renamed(m: sp.csr_matrix, pos: np.ndarray) -> sp.csr_matrix:
+    """m with column j renamed pos[j], each row's entries left in their order.
+
+    m is canonical, so a row sums its terms in ascending firm order, as the
+    same operator in firm order would; nothing may sort the indices again.
+    """
+    m.indices = pos[m.indices]
+    m.has_sorted_indices = False
+    return m
+
+
 class _Operators:
     """The one Jacobi step, compiled from a calibrated model.
 
-    The step maps a stacked state x = [h_d; h_u] (length 2n) to the next
-    one with two sparse products: the downstream operator D on h_d and the
-    upstream operator U on h_u.
+    The step maps a stacked state x = [h_d; h_u] (length 2n) in engine order
+    to the next one with two sparse products: the downstream operator D on
+    h_d and the upstream operator U on h_u.  down[i] and up[i] are firm i's
+    positions in h_d and h_u.
     """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
@@ -103,66 +142,109 @@ class _Operators:
         self.n = n
         self.gamma = pf.gamma
 
+        # downstream order: a firm with g essential groups has key g, or
+        # 2G + 1 - g if it has non-essential inputs (G: most groups of any
+        # firm), so the firms with more than k groups hold keys k+1..2G-k,
+        # one range, and the has_ne firms are the tail
+        n_groups_of = np.diff(pf.firm_group_ptr).astype(np.int32)
+        most = int(n_groups_of.max(initial=0))
+        key = np.where(pf.has_ne, np.int32(2 * most + 1) - n_groups_of, n_groups_of)
+        self.down = _new_of_old(key)
+        below = np.cumsum(np.bincount(key, minlength=2 * most + 2)).tolist()  # firms with key <= k
+        ne_start = below[most]
+
         # D's rows: essential group availabilities sum_k(w_k * h_d[supplier_k]) / W_g
-        # in slot order (slot k holds the k-th group of every firm that has more
-        # than k, firms ascending), then the non-essential averages
+        # in slot order (slot k holds the k-th group of every firm that has
+        # more than k, in engine order), then the non-essential averages
         # nu_i = sum_k(w_k * h_d[supplier_k]) / W_i of the has_ne firms
         owner = pf.es_group_owner
         n_groups = owner.size
-        slot = np.arange(n_groups) - pf.firm_group_ptr[owner]
-        order = np.argsort(slot, kind="stable")
-        group_row = np.empty(n_groups, dtype=np.int32)
-        group_row[order] = np.arange(n_groups, dtype=np.int32)
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(slot)))).tolist()
-        self.slots = [(owner[order[lo:hi]], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self.ne_firms = np.flatnonzero(pf.has_ne)
-        self.ne_rows = slice(n_groups, n_groups + self.ne_firms.size)
-        ne_row = (np.cumsum(pf.has_ne, dtype=np.int32) - 1) + np.int32(n_groups)
+        slots = []  # (engine range of the firms, their rows of D), one per slot
+        shift = []  # row of a group in slot k = shift[k] + engine position of its owner
+        row = 0
+        for k in range(max(most, 1)):
+            lo, hi = below[k], below[2 * most - k]
+            slots.append((slice(lo, hi), slice(row, row + hi - lo)))
+            shift.append(row - lo)
+            row += hi - lo
+        self.first_slot, *self.later_slots = slots
+        self.ne_firms = slice(ne_start, n)
+        self.ne_rows = slice(n_groups, n_groups + n - ne_start)
 
-        edge_group = np.repeat(np.arange(n_groups), np.diff(pf.es_group_ptr))
-        rows = np.concatenate((group_row[edge_group], ne_row[pf.ne_buyer]))
+        slot = np.arange(n_groups) - pf.firm_group_ptr[owner]
+        group_row = np.asarray(shift, dtype=np.int32)[slot] + self.down[owner]
+        per_group = np.diff(pf.es_group_ptr)
+        rows = np.concatenate(
+            (np.repeat(group_row, per_group), self.down[pf.ne_buyer] + np.int32(n_groups - ne_start))
+        )
         cols = np.concatenate((pf.es_supplier, pf.ne_supplier), dtype=np.int32)
         data = np.concatenate(
             (
-                pf.es_weight / pf.es_group_weight[edge_group],
+                pf.es_weight / np.repeat(pf.es_group_weight, per_group),
                 pf.ne_weight / pf.ne_firm_weight[pf.ne_buyer],
             )
         )
-        self.D = sp.csr_matrix((data, (rows, cols)), shape=(n_groups + self.ne_firms.size, n))
-        del edge_group, rows, cols, data  # keeps the compile's peak memory down
+        D = sp.csr_matrix((data, (rows, cols)), shape=(n_groups + n - ne_start, n))
+        del slot, group_row, rows, cols, data  # keeps the compile's peak memory down
+        self.D = _renamed(D, self.down)
 
-        # upstream average: h_u_i = sum_j(W_ij * h_u[customer_j]) / s_out_i
+        # upstream order: firms with customers, then the ones without, which
+        # stay at 1; h_u_i = sum_j(W_ij * h_u[customer_j]) / s_out_i
         s_out = compute_strengths(net).s_out
-        self.U = sp.csr_matrix(
-            (net.weights / s_out[net.supplier_idx], (net.supplier_idx, net.buyer_idx)),
-            shape=(n, n),
+        no_customers = ~(s_out > 0.0)
+        self.up = _new_of_old(no_customers)
+        self.n_sellers = n - int(np.count_nonzero(no_customers))
+        U = sp.csr_matrix(
+            (net.weights / s_out[net.supplier_idx], (self.up[net.supplier_idx], net.buyer_idx)),
+            shape=(self.n_sellers, n),
         )
-        # positions of h_u that stay at 1: firms without customers
-        self.no_customers = np.flatnonzero(~(s_out > 0.0)) + n
+        self.U = _renamed(U, self.up)
+
+    def positions(self, firms: np.ndarray) -> np.ndarray:
+        """Positions of the given firms in the stacked state, both channels."""
+        return np.concatenate((self.down[firms], self.up[firms] + np.int32(self.n)))
+
+    def stacked(self, h_d: np.ndarray, h_u: np.ndarray) -> np.ndarray:
+        """Levels in firm order as one stacked state in engine order."""
+        x = np.empty(2 * self.n)
+        # numpy scatters through an intp index about twice as fast as it
+        # scatters through an int32 one, cast included
+        x[: self.n][self.down.astype(np.intp)] = h_d
+        x[self.n :][self.up.astype(np.intp)] = h_u
+        return x
+
+    def levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h_d, h_u) in firm order from a stacked state."""
+        return np.take(x[: self.n], self.down), np.take(x[self.n :], self.up)
 
     def step(self, x: np.ndarray, removed: np.ndarray, out: np.ndarray) -> None:
         """One synchronous update of the stacked state x into out.
 
         removed holds the stacked positions of the removed firms (from
-        _removed_index); they stay clamped at 0.
+        positions); they stay clamped at 0.
         """
         n = self.n
         avail = self.D @ x[:n]
         new_d = out[:n]
-        new_d.fill(1.0)
-        for k, (firms, lo, hi) in enumerate(self.slots):
-            new_d[firms] = avail[lo:hi] if k == 0 else np.minimum(new_d[firms], avail[lo:hi])
+        firms, rows = self.first_slot
+        new_d[: firms.start].fill(1.0)
+        new_d[firms.stop :].fill(1.0)
+        new_d[firms] = avail[rows]
+        for firms, rows in self.later_slots:
+            part = new_d[firms]
+            np.minimum(part, avail[rows], out=part)
         # gamma + (1 - gamma) * nu, in place; + and * commute exactly
         ne_term = avail[self.ne_rows]
         ne_term *= 1.0 - self.gamma
         ne_term += self.gamma
-        np.minimum(new_d[self.ne_firms], ne_term, out=ne_term)
-        new_d[self.ne_firms] = ne_term
+        part = new_d[self.ne_firms]
+        np.minimum(part, ne_term, out=part)
 
-        out[n:] = self.U @ x[n:]
         # row sums of D and U are 1 only up to rounding; keep levels in [0, 1]
-        np.clip(out, 0.0, 1.0, out=out)
-        out[self.no_customers] = 1.0
+        np.clip(new_d, 0.0, 1.0, out=new_d)
+        sellers_end = n + self.n_sellers
+        np.clip(self.U @ x[n:], 0.0, 1.0, out=out[n:sellers_end])
+        out[sellers_end:].fill(1.0)
         out[removed] = 0.0
 
 
@@ -175,18 +257,11 @@ def _operators(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Operators:
 
 
 def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
-    """Positions of the removed firms in the stacked state [h_d; h_u]."""
+    """Firm indices of the removed firms."""
     unknown = [fid for fid in scenario.removed if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown firm id(s) in scenario: {', '.join(sorted(unknown))}")
-    idx = np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
-    return np.concatenate((idx, idx + net.n_firms))
-
-
-def _shocked_ones(net: ProductionNetwork, removed: np.ndarray) -> np.ndarray:
-    x = np.ones(2 * net.n_firms)
-    x[removed] = 0.0
-    return x
+    return np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
 
 
 def as_scenario(scenario: ShockScenario | Iterable[str]) -> ShockScenario:
@@ -208,20 +283,20 @@ def production_step(
 ) -> LevelState:
     """One synchronous update of the given state under the scenario."""
     ops = _operators(net, pf)
-    removed = _removed_index(net, as_scenario(scenario))
-    x = np.concatenate((np.asarray(state.h_d, dtype=float), np.asarray(state.h_u, dtype=float)))
+    removed = ops.positions(_removed_index(net, as_scenario(scenario)))
+    x = ops.stacked(state.h_d, state.h_u)
     x[removed] = 0.0
     out = np.empty_like(x)
     ops.step(x, removed, out)
-    n = net.n_firms
-    return LevelState(ids=net.ids, h_d=out[:n], h_u=out[n:])
+    h_d, h_u = ops.levels(out)
+    return LevelState(ids=net.ids, h_d=h_d, h_u=h_u)
 
 
 def initial_state(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> LevelState:
     """All firms at full production except removed ones clamped to 0."""
-    x = _shocked_ones(net, _removed_index(net, as_scenario(scenario)))
-    n = net.n_firms
-    return LevelState(ids=net.ids, h_d=x[:n], h_u=x[n:])
+    h = np.ones(net.n_firms)
+    h[_removed_index(net, as_scenario(scenario))] = 0.0
+    return LevelState(ids=net.ids, h_d=h, h_u=h.copy())
 
 
 def propagate(
@@ -243,8 +318,9 @@ def propagate(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ops = _operators(net, pf)
-    removed = _removed_index(net, as_scenario(scenario))
-    x = _shocked_ones(net, removed)
+    removed = ops.positions(_removed_index(net, as_scenario(scenario)))
+    x = np.ones(2 * net.n_firms)
+    x[removed] = 0.0
     out = np.empty_like(x)
 
     iterations = 0
@@ -261,8 +337,7 @@ def propagate(
             converged = True
             break
 
-    n = net.n_firms
-    h_d, h_u = x[:n], x[n:]
+    h_d, h_u = ops.levels(x)
     return EquilibriumState(
         ids=net.ids,
         h_d=h_d,

@@ -2,12 +2,24 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
 import pytest
 
-from esri_net import batch_indices, load_network, propagate
+from esri_net import (
+    EssentialityMatrix,
+    Firm,
+    ProductionNetwork,
+    SupplyEdge,
+    batch_indices,
+    calibrate,
+    classify_inputs,
+    load_network,
+    propagate,
+    write_network,
+)
 from esri_net.cli import main
 
 from conftest import FIG1
@@ -110,6 +122,32 @@ def test_simulate_matches_library(tmp_path, fig1_net, fig1_pf):
     assert meta["removed"] == ["d"]
     assert (out / "calibration_audit.csv").is_file()
     assert (out / "config.json").is_file()
+
+
+def test_audit_bytes_match_a_csv_writer_reference(tmp_path):
+    quoted = 'acme, "north"'  # needs quoting in CSV
+    firms = [Firm("a", "C10"), Firm(quoted, "G46"), Firm("b", "A01"), Firm("c", "G46")]
+    edges = [
+        SupplyEdge("a", quoted, 1.5),
+        SupplyEdge("b", quoted, 0.7),
+        SupplyEdge("b", "a", 2.0),
+        SupplyEdge(quoted, "c", 0.1),
+    ]
+    net = ProductionNetwork(firms, edges)
+    write_network(net, tmp_path / "net")
+    out = tmp_path / "sim"
+    assert run(["simulate", "--net", tmp_path / "net", "--remove", "b", "--out", out]) == 0
+
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("firm_id", "x0", "beta", "n_essential_groups", "n_nonessential"))
+    for fid in net.ids:
+        f = pf.function_of(fid)
+        writer.writerow((fid, repr(f.x0), repr(f.beta), len(f.essential_groups), len(f.nonessential)))
+    expected = buf.getvalue().encode("utf-8")
+    assert b'"acme, ""north"""' in expected
+    assert (out / "calibration_audit.csv").read_bytes() == expected
 
 
 def test_simulate_removal_file(tmp_path):

@@ -350,3 +350,21 @@ def test_validate_flags_isolated_firm():
     assert rep.n_isolated == 1
     assert rep.isolated_ids == ("x",)
     assert any("isolated" in w for w in rep.warnings)
+
+
+def test_firm_attribute_vectors_are_built_once_and_read_only():
+    firms = [Firm("a", "C10", 3, 1.5, True), Firm("b", "G46"), Firm("c", "A01", None, 0.25)]
+    net = ProductionNetwork(firms, [SupplyEdge("a", "b", 1.0)])
+    expect = {
+        net.employees_array: [3.0, np.nan, np.nan],
+        net.co2_array: [1.5, np.nan, 0.25],
+        net.ets_mask: [True, False, False],
+    }
+    for get, values in expect.items():
+        arr = get()
+        assert arr is get() and not arr.flags.writeable
+        npt.assert_array_equal(arr, values)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert net.sectors() is net.sectors()
+    assert net.sectors() == ("C10", "G46", "A01")

@@ -380,3 +380,87 @@ def test_production_step_matches_reference_from_a_mixed_state(multi_group_model)
     )
     assert np.array_equal(nxt.h_d, ref_d)
     assert np.array_equal(nxt.h_u, ref_u)
+
+
+def test_bit_identical_to_reference_with_shuffled_edges(multi_group_model):
+    # generated edges come supplier-sorted within each buyer; shuffled, the
+    # calibrated edge order no longer matches ascending firm order in a row
+    net, _ = multi_group_model
+    perm = np.random.default_rng(49).permutation(net.n_edges)
+    shuffled = ProductionNetwork.from_arrays(
+        net.firms, net.supplier_idx[perm], net.buyer_idx[perm], net.weights[perm]
+    )
+    pf = calibrate(shuffled, classify_inputs(shuffled, EssentialityMatrix.default()), gamma=0.5)
+    assert not np.array_equal(pf.es_supplier, calibrate(
+        net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5
+    ).es_supplier)
+    ets = [f.id for f in shuffled.firms if f.ets_member]
+    for fid in ets[:4]:
+        _assert_same_as_reference(shuffled, pf, (fid,))
+    _assert_same_as_reference(shuffled, pf, tuple(ets[:5]))
+    _assert_same_as_reference(shuffled, pf, tuple(ets[:3]), max_iter=7)
+
+
+def _interleaved_network():
+    """Twelve firms whose order mixes every downstream class and the firms
+    without customers: (essential groups, non-essential inputs) per firm is
+    r0 (0, no), m2 (2, no), s0 (0, yes), c1 (1, no), z (0, no), b2 (2, yes),
+    d1 (0, yes), m1 (1, yes), k1 (1, no), w (0, yes), c2 (2, no), t (1, yes);
+    m2, z, b2 and t have no customers."""
+    sectors = {
+        "r0": "A01", "m2": "G46", "s0": "G46", "c1": "C10", "z": "G46", "b2": "G46",
+        "d1": "D35", "m1": "G46", "k1": "C20", "w": "G46", "c2": "C10", "t": "G46",
+    }
+    edges = [
+        ("c1", "m2", 1.7), ("c2", "m2", 0.3), ("d1", "m2", 2.9),
+        ("r0", "s0", 0.7), ("w", "s0", 1.1),
+        ("d1", "c1", 3.3),
+        ("c1", "b2", 0.9), ("k1", "b2", 1.3), ("r0", "b2", 0.1),
+        ("r0", "d1", 5.0),
+        ("d1", "m1", 0.6), ("s0", "m1", 1.9),
+        ("c1", "k1", 2.2),
+        ("m1", "w", 0.4),
+        ("d1", "c2", 1.4), ("k1", "c2", 0.8),
+        ("c2", "t", 2.6), ("r0", "t", 0.2),
+    ]
+    firms = [Firm(fid, sector) for fid, sector in sectors.items()]
+    return ProductionNetwork(firms, [SupplyEdge(s, b, w) for s, b, w in edges])
+
+
+def test_bit_identical_to_reference_on_an_interleaved_network():
+    net = _interleaved_network()
+    for gamma in (0.0, 0.3, 0.5):
+        pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=gamma)
+        classes = list(zip(np.diff(pf.firm_group_ptr).tolist(), pf.has_ne.tolist()))
+        assert classes == [(0, False), (2, False), (0, True), (1, False), (0, False), (2, True),
+                           (0, True), (1, True), (1, False), (0, True), (2, False), (1, True)]
+        no_customers = compute_strengths(net).s_out == 0.0
+        assert np.flatnonzero(no_customers).tolist() == [1, 4, 5, 11]
+        for fid in net.ids:
+            _assert_same_as_reference(net, pf, (fid,))
+        for ids in ((), ("r0", "w"), ("d1", "k1"), ("c1", "c2", "m1"), net.ids):
+            _assert_same_as_reference(net, pf, ids)
+        _assert_same_as_reference(net, pf, ("r0",), max_iter=2)
+
+
+def test_production_step_matches_reference_on_an_interleaved_network():
+    net = _interleaved_network()
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.3)
+    rng = np.random.default_rng(50)
+    for ids in ((), ("d1",), ("c1", "s0")):
+        h_d = rng.uniform(0.0, 1.0, net.n_firms)
+        h_u = rng.uniform(0.0, 1.0, net.n_firms)
+        nxt = production_step(LevelState(net.ids, h_d, h_u), net, pf, ids)
+        removed = _reference_mask(net, ids)
+        ref_d, ref_u = _ReferenceStep(net, pf).step(
+            np.where(removed, 0.0, h_d), np.where(removed, 0.0, h_u), removed
+        )
+        assert np.array_equal(nxt.h_d, ref_d)
+        assert np.array_equal(nxt.h_u, ref_u)
+
+
+def test_equilibrium_lookup_by_id(fig1_net, fig1_pf):
+    eq = propagate(fig1_net, fig1_pf, ["d"])
+    assert [eq.of(fid) for fid in fig1_net.ids] == eq.h.tolist()
+    with pytest.raises(ValueError, match="'zz'"):
+        eq.of("zz")
