@@ -121,37 +121,25 @@ class InputPartition:
         b = net.index_of(firm_id)
         groups: dict[str, list[str]] = {}
         mask = (net.buyer_idx == b) & self.edge_essential
-        for s in net.supplier_idx[mask]:
-            groups.setdefault(net.firms[s].sector, []).append(net.firms[s].id)
+        for s in net.supplier_idx[mask].tolist():
+            groups.setdefault(net.table.sector_names[net.table.sector_code[s]], []).append(net.ids[s])
         return groups
 
     def nonessential_suppliers(self, net: ProductionNetwork, firm_id: str) -> list[str]:
         b = net.index_of(firm_id)
         mask = (net.buyer_idx == b) & ~self.edge_essential
-        return [net.firms[s].id for s in net.supplier_idx[mask]]
-
-
-def _sector_codes(net: ProductionNetwork) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct sector names and each firm's index into them."""
-    sectors = net.sectors()
-    unique = sorted(set(sectors))
-    code_of = {s: k for k, s in enumerate(unique)}
-    return unique, np.array([code_of[s] for s in sectors], dtype=np.int64)
+        return [net.ids[s] for s in net.supplier_idx[mask].tolist()]
 
 
 def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
     """Flag every supply edge as essential or non-essential for its buyer."""
-    unique, codes = _sector_codes(net)
-    sup_codes = codes[net.supplier_idx]
-    buy_codes = codes[net.buyer_idx]
-
+    names, codes = net.table.sector_names, net.table.sector_code
     # resolve each distinct sector pair once, then broadcast to edges
-    pair_key = sup_codes * len(unique) + buy_codes
+    pair_key = codes[net.supplier_idx] * len(names) + codes[net.buyer_idx]
     flags = np.zeros(net.n_edges, dtype=bool)
-    for key in np.unique(pair_key):
-        sup_sector = unique[int(key) // len(unique)]
-        buy_sector = unique[int(key) % len(unique)]
-        flags[pair_key == key] = matrix.is_essential(sup_sector, buy_sector)
+    for key in np.unique(pair_key).tolist():
+        sup, buy = divmod(key, len(names))
+        flags[pair_key == key] = matrix.is_essential(names[sup], names[buy])
     return InputPartition(ids=net.ids, edge_essential=flags, matrix_source=matrix.source)
 
 
@@ -221,7 +209,7 @@ class ProductionFunctionSet:
         n = net.n_firms
 
         # essential layout: edges sorted by (buyer, supplier sector code)
-        unique, sector_code = _sector_codes(net)
+        unique, sector_code = net.table.sector_names, net.table.sector_code
         es_idx = np.flatnonzero(partition.edge_essential)
         key = net.buyer_idx[es_idx] * len(unique) + sector_code[net.supplier_idx[es_idx]]
         order = np.argsort(key, kind="stable")
@@ -241,7 +229,6 @@ class ProductionFunctionSet:
         self.es_group_sector_code = (
             sector_code[self.es_supplier[group_first]] if es_idx.size else np.empty(0, dtype=np.int64)
         )
-        self._sector_names = unique
         # groups are already owner-sorted; firm_group_ptr[i]:firm_group_ptr[i+1]
         # is the group range of firm i
         counts = np.bincount(self.es_group_owner, minlength=n)
@@ -270,21 +257,21 @@ class ProductionFunctionSet:
         for g in range(self.firm_group_ptr[i], self.firm_group_ptr[i + 1]):
             lo, hi = self.es_group_ptr[g], self.es_group_ptr[g + 1]
             members = {
-                self.net.firms[s].id: float(w)
-                for s, w in zip(self.es_supplier[lo:hi], self.es_weight[lo:hi])
+                self.net.ids[s]: w
+                for s, w in zip(self.es_supplier[lo:hi].tolist(), self.es_weight[lo:hi].tolist())
             }
             wsum = float(self.es_group_weight[g])
             groups.append(
                 EssentialGroup(
-                    sector=self._sector_names[int(self.es_group_sector_code[g])],
+                    sector=self.net.table.sector_names[self.es_group_sector_code[g]],
                     alpha=wsum / x0,
                     members=members,
                 )
             )
         mask = self.ne_buyer == i
         nonessential = {
-            self.net.firms[s].id: float(w)
-            for s, w in zip(self.ne_supplier[mask], self.ne_weight[mask])
+            self.net.ids[s]: w
+            for s, w in zip(self.ne_supplier[mask].tolist(), self.ne_weight[mask].tolist())
         }
         beta = float(self.beta[i])
         alpha_ne: float | None = None

@@ -21,6 +21,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -152,10 +153,14 @@ def _read_ids(path: Path) -> list[str]:
     return [fid for fid in ids if fid]
 
 
+def _ets_ids(net: ProductionNetwork) -> list[str]:
+    return list(compress(net.ids, net.ets_mask().tolist()))
+
+
 def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     spec = args.candidates
     if spec == "all-ets":
-        return [f.id for f in net.firms if f.ets_member]
+        return _ets_ids(net)
     path = Path(spec)
     if not path.is_file():
         raise InvalidScenario(f"candidate file not found: {spec}")
@@ -325,7 +330,7 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
             raise MissingUpstream("fit-regimes needs --indices or --net")
         net = _load_net(args)
         pf = _calibrated(args, net)
-        table = _index_table(args, net, pf, [f.id for f in net.firms if f.ets_member])
+        table = _index_table(args, net, pf, _ets_ids(net))
         ratios = table.finite_ratios_descending()
     fit = fit_rank_regimes(ratios, hi=args.hi, lo=args.lo)
     payload = {
@@ -373,8 +378,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         out / "scatter_co2_vs_ew_esri.csv",
         ("firm_id", "sector", "ew_esri", "co2_share_total", "co2_share_ets"),
         [
-            (r.firm_id, net.firm(r.firm_id).sector, _fmt(r.ew_esri),
-             _fmt(r.co2_share_total), _fmt(r.co2_share_ets))
+            (r.firm_id, net.table.sector_names[net.table.sector_code[net.index_of(r.firm_id)]],
+             _fmt(r.ew_esri), _fmt(r.co2_share_total), _fmt(r.co2_share_ets))
             for r in rows
         ],
     )

@@ -305,7 +305,7 @@ def batch_indices(
         esri_v, ew_v, _, _, converged = by_id[fid]
         if not converged:
             not_converged.append(fid)
-        own_co2 = net.firm(fid).co2 or 0.0
+        own_co2 = float(np.nan_to_num(net.co2_array()[net.index_of(fid)])) or 0.0
         share_total = own_co2 / total
         share_ets = own_co2 / ets_total if ets_total > 0.0 else 0.0
         rows.append(

@@ -1,5 +1,8 @@
 """Firm-level production network: CSV ingestion, strengths, validation.
 
+Each firm attribute is stored once, as a read-only column of a `FirmTable`;
+`firm(id)` and `firms` build `Firm` views on each call (`firms` is O(n)).
+
 Input schemas (CSV, UTF-8, comma separator, header row required):
 
     firms.csv:  id,sector,employees,co2,ets_member
@@ -13,7 +16,9 @@ Parallel edges between the same ordered firm pair are summed on load
 the pair's first row; self-loops and edges naming unknown firms are
 rejected.  A faulty file is reported for its first faulty row in file
 order; within an edge row the checks run as cell count, weight parse,
-weight value, self-loop, supplier id, buyer id.
+weight value, self-loop, supplier id, buyer id, and within a firm row as
+cell count, id, sector, ets_member, co2, employees (at most 2**53, so the
+float64 column is exact), then the id's uniqueness.
 """
 from __future__ import annotations
 
@@ -23,11 +28,10 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,9 +76,9 @@ class SelfLoop(NetworkError):
 # -- domain types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Firm:
-    """One firm row; employees/co2 are None when the source cell is empty."""
+    """A view of one firm row; employees/co2 are None when the cell is empty."""
 
     id: str
     sector: str
@@ -141,52 +145,111 @@ class ValidationReport:
         return lines
 
 
-class ProductionNetwork:
-    """Immutable directed weighted firm network.
+@dataclass(frozen=True, eq=False)
+class FirmTable:
+    """Firm attributes as read-only columns in firm order; `Firm`s are views.
 
-    Firms keep their input order; edges are stored in first-occurrence
-    order of the (supplier, buyer) pair with parallel weights summed.
-    `from_arrays` is the one validating constructor; `ProductionNetwork(
-    firms, edges)` maps the edges' firm ids to indices and goes through it.
+    index maps each id to its position; sector_code indexes the sorted
+    distinct sector names; employees and co2 are float64, NaN where empty.
     """
 
-    firms: tuple[Firm, ...]
-    ids: tuple[str, ...]  # firm ids in firm order, built once
+    ids: tuple[str, ...]
+    index: dict[str, int]
+    sector_names: tuple[str, ...]
+    sector_code: np.ndarray
+    employees: np.ndarray
+    co2: np.ndarray
+    ets: np.ndarray
+
+    @classmethod
+    def build(cls, index: dict[str, int], sectors: Sequence[str], employees: Sequence[float],
+              co2: Sequence[float], ets: Sequence[bool]) -> "FirmTable":
+        """Columns from per-firm values; index maps each firm id, in firm
+        order, to its position, and holds no repeat (see `_add_id`)."""
+        names = sorted(set(sectors))
+        code_of = {name: k for k, name in enumerate(names)}
+        codes = np.fromiter(map(code_of.__getitem__, sectors), np.int64, len(sectors))
+        columns = codes, np.array(employees, np.float64), np.array(co2, np.float64), np.array(ets, bool)
+        for column in columns:
+            column.flags.writeable = False
+        return cls(tuple(index), index, tuple(names), *columns)
+
+    @classmethod
+    def of(cls, firms: Iterable[Firm]) -> "FirmTable":
+        firms = tuple(firms)
+        index: dict[str, int] = {}
+        for f in firms:
+            _add_id(index, f.id)
+        return cls.build(
+            index, [f.sector for f in firms],
+            [math.nan if f.employees is None else f.employees for f in firms],
+            [math.nan if f.co2 is None else f.co2 for f in firms], [f.ets_member for f in firms],
+        )
+
+    def views(self, rows: slice) -> tuple[Firm, ...]:
+        """Firm objects of a slice of the firm order, built from the columns."""
+        return tuple(
+            Firm(fid, self.sector_names[code], None if math.isnan(e) else int(e),
+                 None if math.isnan(c) else c, ets)
+            for fid, code, e, c, ets in zip(
+                self.ids[rows], self.sector_code[rows].tolist(), self.employees[rows].tolist(),
+                self.co2[rows].tolist(), self.ets[rows].tolist(),
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FirmTable):
+            return NotImplemented
+        columns = ("sector_code", "employees", "co2", "ets")
+        return (self.ids, self.sector_names) == (other.ids, other.sector_names) and all(
+            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in columns
+        )
+
+
+def _add_id(index: dict[str, int], firm_id: str) -> None:
+    if firm_id in index:
+        raise DuplicateFirmId(f"duplicate firm id {firm_id!r}")
+    index[firm_id] = len(index)
+
+
+class ProductionNetwork:
+    """Immutable directed weighted network over the firms of `table`.
+
+    Edges are stored in first-occurrence order of the (supplier, buyer)
+    pair with parallel weights summed.  `from_arrays` is the one validating
+    constructor; `ProductionNetwork(firms, edges)` maps the edges' firm ids
+    to indices and goes through it.
+    """
+
+    table: FirmTable
+    ids: tuple[str, ...]  # firm ids in firm order (table.ids)
     supplier_idx: np.ndarray
     buyer_idx: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, firms: list[Firm] | tuple[Firm, ...], edges: list[SupplyEdge]):
-        firms = tuple(firms)
-        index = {f.id: pos for pos, f in enumerate(firms)}
+    def __init__(self, firms: Iterable[Firm], edges: list[SupplyEdge]):
+        table = FirmTable.of(firms)
         net = ProductionNetwork.from_arrays(
-            firms,
-            np.array([index.get(e.supplier_id, -1) for e in edges], dtype=np.int64),
-            np.array([index.get(e.buyer_id, -1) for e in edges], dtype=np.int64),
+            table,
+            np.array([table.index.get(e.supplier_id, -1) for e in edges], dtype=np.int64),
+            np.array([table.index.get(e.buyer_id, -1) for e in edges], dtype=np.int64),
             np.array([e.weight for e in edges], dtype=np.float64),
         )
         vars(self).update(vars(net))
 
     @classmethod
     def from_arrays(
-        cls,
-        firms: list[Firm] | tuple[Firm, ...],
-        supplier_idx: np.ndarray,
-        buyer_idx: np.ndarray,
-        weights: np.ndarray,
+        cls, table: FirmTable, supplier_idx: np.ndarray, buyer_idx: np.ndarray, weights: np.ndarray
     ) -> "ProductionNetwork":
-        """Construct from edge index arrays into `firms`.
+        """Construct from a firm table and edge index arrays into it.
 
-        Firm ids must be unique.  Every index must name a firm, no edge may
-        be a self-loop, and every weight must be finite and positive; the
-        first offending edge is reported.  Parallel edges are merged.
+        Every index must name a firm, no edge may be a self-loop, and every
+        weight must be finite and positive; the first offending edge is
+        reported.  Parallel edges are merged.
         """
         net = cls.__new__(cls)
-        net.firms = tuple(firms)
-        net.ids = tuple(f.id for f in net.firms)
-        net._index = {fid: pos for pos, fid in enumerate(net.ids)}
-        if len(net._index) != len(net.ids):
-            raise DuplicateFirmId(f"duplicate firm id {_first_repeat(net.ids)!r}")
+        net.table = table
+        net.ids = table.ids
         sup = np.asarray(supplier_idx, dtype=np.int64)
         buy = np.asarray(buyer_idx, dtype=np.int64)
         wgt = np.asarray(weights, dtype=np.float64)
@@ -205,11 +268,9 @@ class ProductionNetwork:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProductionNetwork):
             return NotImplemented
-        return (
-            self.firms == other.firms
-            and np.array_equal(self.supplier_idx, other.supplier_idx)
-            and np.array_equal(self.buyer_idx, other.buyer_idx)
-            and np.array_equal(self.weights, other.weights)
+        return self.table == other.table and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("supplier_idx", "buyer_idx", "weights")
         )
 
     def __repr__(self) -> str:
@@ -219,7 +280,7 @@ class ProductionNetwork:
 
     @property
     def n_firms(self) -> int:
-        return len(self.firms)
+        return len(self.ids)
 
     @property
     def n_edges(self) -> int:
@@ -227,19 +288,26 @@ class ProductionNetwork:
 
     def index_of(self, firm_id: str) -> int:
         try:
-            return self._index[firm_id]
+            return self.table.index[firm_id]
         except KeyError:
             raise KeyError(f"unknown firm id {firm_id!r}") from None
 
     def __contains__(self, firm_id: str) -> bool:
-        return firm_id in self._index
+        return firm_id in self.table.index
 
     def firm(self, firm_id: str) -> Firm:
-        return self.firms[self.index_of(firm_id)]
+        """A view of one firm, built from the columns on each call."""
+        pos = self.index_of(firm_id)
+        return self.table.views(slice(pos, pos + 1))[0]
+
+    @property
+    def firms(self) -> tuple[Firm, ...]:
+        """Views of every firm, built from the columns on each access: O(n)."""
+        return self.table.views(slice(None))
 
     def edges(self) -> list[SupplyEdge]:
         return [
-            SupplyEdge(self.firms[s].id, self.firms[b].id, float(w))
+            SupplyEdge(self.ids[s], self.ids[b], float(w))
             for s, b, w in zip(self.supplier_idx, self.buyer_idx, self.weights)
         ]
 
@@ -253,52 +321,16 @@ class ProductionNetwork:
             )
         return self._matrix
 
-    # -- vector views used across modules, built once and read-only ----------
+    # -- read-only firm columns used across modules ---------------------------
 
     def employees_array(self) -> np.ndarray:
-        return self._employees
+        return self.table.employees
 
     def co2_array(self) -> np.ndarray:
-        return self._co2
+        return self.table.co2
 
     def ets_mask(self) -> np.ndarray:
-        return self._ets
-
-    @cached_property
-    def _employees(self) -> np.ndarray:
-        return _read_only(
-            [np.nan if f.employees is None else float(f.employees) for f in self.firms], float
-        )
-
-    @cached_property
-    def _co2(self) -> np.ndarray:
-        return _read_only([np.nan if f.co2 is None else float(f.co2) for f in self.firms], float)
-
-    @cached_property
-    def _ets(self) -> np.ndarray:
-        return _read_only([f.ets_member for f in self.firms], bool)
-
-    @cached_property
-    def _sectors(self) -> tuple[str, ...]:
-        return tuple(f.sector for f in self.firms)
-
-    def sectors(self) -> tuple[str, ...]:
-        return self._sectors
-
-
-def _read_only(values: list, dtype: type) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
-def _first_repeat(ids: Iterable[str]) -> str | None:
-    seen: set[str] = set()
-    for fid in ids:
-        if fid in seen:
-            return fid
-        seen.add(fid)
-    return None
+        return self.table.ets
 
 
 def _bad_edges(n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray) -> np.ndarray:
@@ -379,31 +411,9 @@ def _at_row(fault: NetworkError, path: str | Path, row_no: int) -> NetworkError:
     return type(fault)(f"{Path(path).name} row {row_no}: {fault}")
 
 
-def _parse_optional_int(cell: str, what: str) -> int | None:
-    if cell == "":
-        return None
-    try:
-        value = int(cell)
-    except ValueError:
-        raise SchemaError(f"{what} must be an integer, got {cell!r}") from None
-    if value < 0:
-        raise SchemaError(f"{what} must be non-negative, got {value}")
-    return value
-
-
-def _parse_optional_float(cell: str, what: str) -> float | None:
-    if cell == "":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise SchemaError(f"{what} must be a number, got {cell!r}") from None
-    if not math.isfinite(value) or value < 0.0:
-        raise SchemaError(f"{what} must be finite and non-negative, got {cell!r}")
-    return value
-
-
-def _parse_firm(row: list[str]) -> Firm:
+def _append_firm_row(row: list[str], index: dict[str, int], columns: tuple[list, ...]) -> None:
+    """Check one firm row and append it to the index and the sector,
+    employees, co2 and ets columns; the checks run in this order."""
     if len(row) != len(FIRM_COLUMNS):
         raise SchemaError(f"expected {len(FIRM_COLUMNS)} cells, got {len(row)}")
     firm_id, sector, employees, co2, ets = map(str.strip, row)
@@ -413,16 +423,25 @@ def _parse_firm(row: list[str]) -> Firm:
         raise SchemaError("empty sector code")
     if ets not in ("0", "1"):
         raise SchemaError(f"ets_member must be 0 or 1, got {ets!r}")
-    co2_value = _parse_optional_float(co2, "co2")
-    if ets == "1" and co2_value is None:
+    try:
+        co2_value = float(co2) if co2 else math.nan
+    except ValueError:
+        raise SchemaError(f"co2 must be a number, got {co2!r}") from None
+    if co2 and not 0.0 <= co2_value < math.inf:
+        raise SchemaError(f"co2 must be finite and non-negative, got {co2!r}")
+    if ets == "1" and not co2:
         raise SchemaError("ets_member=1 requires a co2 value")
-    return Firm(
-        id=firm_id,
-        sector=sector,
-        employees=_parse_optional_int(employees, "employees"),
-        co2=co2_value,
-        ets_member=ets == "1",
-    )
+    try:
+        count = int(employees) if employees else math.nan
+    except ValueError:
+        raise SchemaError(f"employees must be an integer, got {employees!r}") from None
+    if count < 0:
+        raise SchemaError(f"employees must be non-negative, got {count}")
+    if count > 2**53:  # the float64 column holds every count up to 2**53 exactly
+        raise SchemaError(f"employees must be at most 2**53, got {count}")
+    _add_id(index, firm_id)
+    for column, value in zip(columns, (sector, count, co2_value, ets == "1")):
+        column.append(value)
 
 
 def _check_edge_row(row: list[str], index: dict[str, int]) -> None:
@@ -478,18 +497,15 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
     """
     # the per-row lists csv.reader yields would trigger cyclic GC passes
     with _gc_paused():
-        firms: list[Firm] = []
+        index: dict[str, int] = {}
+        columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
         with _csv_rows(firm_file, FIRM_COLUMNS) as rows:
             for row_no, row in enumerate(rows, start=2):
                 try:
-                    firms.append(_parse_firm(row))
+                    _append_firm_row(row, index, columns)
                 except NetworkError as fault:
                     raise _at_row(fault, firm_file, row_no) from None
-
-        index = {f.id: pos for pos, f in enumerate(firms)}
-        if len(index) != len(firms):
-            repeat_id = _first_repeat(f.id for f in firms)
-            raise DuplicateFirmId(f"duplicate firm id {repeat_id!r} in {Path(firm_file).name}")
+        table = FirmTable.build(index, *columns)
 
         blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
         with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
@@ -505,26 +521,26 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
                 blocks.append(arrays)
                 row_no += len(block)
     sup, buy, wgt = (np.concatenate(column) for column in zip(*blocks))
-    return ProductionNetwork.from_arrays(firms, sup, buy, wgt)
+    return ProductionNetwork.from_arrays(table, sup, buy, wgt)
 
 
 def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
     """Serialize firms.csv and edges.csv; load(write(net)) == net."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t = net.table
     with open(out / "firms.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIRM_COLUMNS)
-        for f in net.firms:
-            writer.writerow(
-                [
-                    f.id,
-                    f.sector,
-                    "" if f.employees is None else f.employees,
-                    "" if f.co2 is None else repr(f.co2),
-                    int(f.ets_member),
-                ]
+        writer.writerows(
+            zip(
+                t.ids,
+                map(t.sector_names.__getitem__, t.sector_code.tolist()),
+                ["" if math.isnan(e) else int(e) for e in t.employees.tolist()],
+                ["" if math.isnan(c) else repr(c) for c in t.co2.tolist()],
+                t.ets.astype(np.int64).tolist(),
             )
+        )
     with open(out / "edges.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EDGE_COLUMNS)

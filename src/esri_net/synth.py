@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .calibration import ESSENTIAL_SUPPLIER_LETTERS
-from .network import Firm, ProductionNetwork, load_network
+from .network import FirmTable, ProductionNetwork, compute_strengths, load_network
 
 log = logging.getLogger(__name__)
 
@@ -157,29 +157,19 @@ def generate(params: SynthParams) -> ProductionNetwork:
         1, np.round(_stream(params, _STAGE_EMPLOYMENT).lognormal(mu_e, sigma_e, size=n))
     ).astype(np.int64)
 
-    co2: list[float | None] = [None] * n
+    co2 = np.full(n, np.nan)
     ets = np.zeros(n, dtype=bool)
     if params.n_ets:
         rng = _stream(params, _STAGE_EMISSIONS)
         chosen = np.sort(rng.choice(n, size=params.n_ets, replace=False))
         mu_c, sigma_c = params.emission_lognormal
-        values = rng.lognormal(mu_c, sigma_c, size=params.n_ets)
-        for i, v in zip(chosen, values):
-            co2[int(i)] = float(v)
-            ets[int(i)] = True
+        co2[chosen] = rng.lognormal(mu_c, sigma_c, size=params.n_ets)
+        ets[chosen] = True
 
     width = len(str(n))
-    firms = [
-        Firm(
-            id=f"F{k + 1:0{width}d}",
-            sector=str(sectors[k]),
-            employees=int(employees[k]),
-            co2=co2[k],
-            ets_member=bool(ets[k]),
-        )
-        for k in range(n)
-    ]
-    return ProductionNetwork.from_arrays(firms, sup, buy, weights)
+    index = {f"F{k + 1:0{width}d}": k for k in range(n)}
+    table = FirmTable.build(index, sectors.tolist(), employees, co2, ets)
+    return ProductionNetwork.from_arrays(table, sup, buy, weights)
 
 
 # -- file output and diagnostics -----------------------------------------------
@@ -187,12 +177,12 @@ def generate(params: SynthParams) -> ProductionNetwork:
 
 def essentiality_rows(net: ProductionNetwork) -> list[tuple[str, str, int]]:
     """Observed sector pairs classified by the default supplier-letter rule."""
-    sectors = net.sectors()
-    pairs = sorted(
-        {(sectors[s], sectors[b]) for s, b in zip(net.supplier_idx, net.buyer_idx)}
-    )
+    names, codes = net.table.sector_names, net.table.sector_code
+    # codes follow the sorted names, so sorted code pairs are sorted name pairs
+    keys = np.unique(codes[net.supplier_idx] * len(names) + codes[net.buyer_idx]).tolist()
     return [
-        (sup, buy, int(sup[:1] in ESSENTIAL_SUPPLIER_LETTERS)) for sup, buy in pairs
+        (names[s], names[b], int(names[s][:1] in ESSENTIAL_SUPPLIER_LETTERS))
+        for s, b in (divmod(key, len(names)) for key in keys)
     ]
 
 
@@ -205,8 +195,6 @@ def write_essentiality(rows: list[tuple[str, str, int]], path: str | Path) -> No
 
 def top_strength_share(net: ProductionNetwork, fraction: float = 0.01) -> float:
     """Share of total strength held by the top `fraction` of firms."""
-    from .network import compute_strengths
-
     s = np.sort(compute_strengths(net).s_total)[::-1]
     total = float(s.sum())
     if total <= 0.0:

@@ -11,6 +11,7 @@ from esri_net import (
     DanglingEdge,
     DuplicateFirmId,
     Firm,
+    FirmTable,
     MissingFile,
     NonPositiveWeight,
     ProductionNetwork,
@@ -93,13 +94,13 @@ def test_bad_header_rejected(tmp_path):
 
 def test_load_pauses_gc_and_restores_it_after_a_fault(tmp_path, monkeypatch):
     seen = []
-    parse = network_module._parse_firm
+    append = network_module._append_firm_row
 
-    def spy(row):
+    def spy(row, *columns):
         seen.append(gc.isenabled())
-        return parse(row)
+        return append(row, *columns)
 
-    monkeypatch.setattr(network_module, "_parse_firm", spy)
+    monkeypatch.setattr(network_module, "_append_firm_row", spy)
     fp, ep = write_pair(tmp_path, edges=GOOD_EDGES + [["a", "b", "x"]])
     assert gc.isenabled()
     with pytest.raises(SchemaError, match=r"^edges\.csv row 3: "):
@@ -123,21 +124,57 @@ def test_load_leaves_gc_disabled_when_the_caller_disabled_it(tmp_path):
         gc.enable()
 
 
+GOOD_FIRM = ["g", "C10", 3, 1.5, 1]
+
+
 def test_firm_row_errors(tmp_path):
     cases = [
-        ([["", "G46", 1, 2.0, 1]], SchemaError),            # empty id
-        ([["a", "", 1, 2.0, 1]], SchemaError),              # empty sector
-        ([["a", "G46", "x", 2.0, 1]], SchemaError),         # bad employees
-        ([["a", "G46", -1, 2.0, 1]], SchemaError),          # negative employees
-        ([["a", "G46", 1, "x", 1]], SchemaError),           # bad co2
-        ([["a", "G46", 1, 2.0, 2]], SchemaError),           # ets flag not 0/1
-        ([["a", "G46", 1, "", 1]], SchemaError),            # ets member needs co2
-        ([["a", "G46", 1, 2.0, 1]] * 2, DuplicateFirmId),
+        (["", "G46", 1, 2.0, 1], SchemaError),              # empty id
+        (["a", "", 1, 2.0, 1], SchemaError),                # empty sector
+        (["a", "G46", "x", 2.0, 1], SchemaError),           # bad employees
+        (["a", "G46", -1, 2.0, 1], SchemaError),            # negative employees
+        (["a", "G46", 1.5, 2.0, 1], SchemaError),           # fractional employees
+        (["a", "G46", 1, "x", 1], SchemaError),             # bad co2
+        (["a", "G46", 1, "inf", 1], SchemaError),           # infinite co2
+        (["a", "G46", 1, -1, 1], SchemaError),              # negative co2
+        (["a", "G46", 1, 2.0, 2], SchemaError),             # ets flag not 0/1
+        (["a", "G46", 1, "", 1], SchemaError),              # ets member needs co2
+        (["a", "G46", 1, 2.0], SchemaError),                # wrong cell count
+        (GOOD_FIRM, DuplicateFirmId),
     ]
-    for rows, exc in cases:
-        fp, ep = write_pair(tmp_path, firms=rows, edges=[])
-        with pytest.raises(exc):
+    for row, exc in cases:
+        fp, ep = write_pair(tmp_path, firms=[GOOD_FIRM, row], edges=[])
+        with pytest.raises(exc, match=r"^firms\.csv row 3: "):
             load_network(fp, ep)
+
+
+def test_duplicate_firm_id_is_reported_at_its_own_row(tmp_path):
+    # the repeat at row 3 comes before the bad ets flag at row 4
+    firms = [["a", "G46", 1, 2.0, 1], ["a", "G46", 1, 2.0, 1], ["b", "C25", 1, 2.0, 7]]
+    fp, ep = write_pair(tmp_path, firms=firms, edges=[])
+    with pytest.raises(DuplicateFirmId, match=r"^firms\.csv row 3: duplicate firm id 'a'$"):
+        load_network(fp, ep)
+    # within a row, the repeat is checked last
+    fp, ep = write_pair(tmp_path, firms=firms[:1] + [["a", "G46", 1, 2.0, 7]], edges=[])
+    with pytest.raises(SchemaError, match=r"^firms\.csv row 3: ets_member must be 0 or 1"):
+        load_network(fp, ep)
+
+
+def test_first_faulty_firm_row_wins(tmp_path):
+    firms = [GOOD_FIRM, ["a", "G46", "x", "y", 1], ["", "", "", "", 9], ["a", "G46", 1]]
+    fp, ep = write_pair(tmp_path, firms=firms, edges=[])
+    with pytest.raises(SchemaError, match=r"^firms\.csv row 3: co2 must be a number, got 'y'$"):
+        load_network(fp, ep)
+
+
+def test_employee_counts_stay_integer_exact(tmp_path):
+    fp, ep = write_pair(tmp_path, firms=[GOOD_FIRM, ["a", "G46", 2**53, "", 0]], edges=[])
+    net = load_network(fp, ep)
+    assert net.firm("a").employees == 2**53
+    assert net.employees_array()[1] == 2.0**53
+    fp, ep = write_pair(tmp_path, firms=[GOOD_FIRM, ["a", "G46", 2**53 + 1, "", 0]], edges=[])
+    with pytest.raises(SchemaError, match=r"^firms\.csv row 3: employees must be at most 2\*\*53"):
+        load_network(fp, ep)
 
 
 def test_edge_row_errors(tmp_path):
@@ -263,15 +300,16 @@ def test_constructor_goes_through_from_arrays():
     firms = [Firm("a", "G46"), Firm("b", "C25"), Firm("c", "C10")]
     edges = [SupplyEdge("a", "b", 1.0), SupplyEdge("c", "a", 2.0), SupplyEdge("a", "b", 2.5)]
     net = ProductionNetwork(firms, edges)
+    table = FirmTable.of(firms)
     assert net == ProductionNetwork.from_arrays(
-        firms, np.array([0, 2, 0]), np.array([1, 0, 1]), np.array([1.0, 2.0, 2.5])
+        table, np.array([0, 2, 0]), np.array([1, 0, 1]), np.array([1.0, 2.0, 2.5])
     )
     assert net.edges() == [SupplyEdge("a", "b", 3.5), SupplyEdge("c", "a", 2.0)]
     assert net.ids == ("a", "b", "c")
     with pytest.raises(DanglingEdge):
-        ProductionNetwork.from_arrays(firms, np.array([0]), np.array([3]), np.array([1.0]))
+        ProductionNetwork.from_arrays(table, np.array([0]), np.array([3]), np.array([1.0]))
     with pytest.raises(NonPositiveWeight):
-        ProductionNetwork.from_arrays(firms, np.array([0]), np.array([1]), np.array([np.inf]))
+        ProductionNetwork.from_arrays(table, np.array([0]), np.array([1]), np.array([np.inf]))
 
 
 # -- round trip ------------------------------------------------------------
@@ -366,5 +404,6 @@ def test_firm_attribute_vectors_are_built_once_and_read_only():
         npt.assert_array_equal(arr, values)
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-    assert net.sectors() is net.sectors()
-    assert net.sectors() == ("C10", "G46", "A01")
+    assert net.table.sector_names == ("A01", "C10", "G46")
+    npt.assert_array_equal(net.table.sector_code, [1, 2, 0])
+    assert not net.table.sector_code.flags.writeable

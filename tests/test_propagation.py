@@ -388,7 +388,7 @@ def test_bit_identical_to_reference_with_shuffled_edges(multi_group_model):
     net, _ = multi_group_model
     perm = np.random.default_rng(49).permutation(net.n_edges)
     shuffled = ProductionNetwork.from_arrays(
-        net.firms, net.supplier_idx[perm], net.buyer_idx[perm], net.weights[perm]
+        net.table, net.supplier_idx[perm], net.buyer_idx[perm], net.weights[perm]
     )
     pf = calibrate(shuffled, classify_inputs(shuffled, EssentialityMatrix.default()), gamma=0.5)
     assert not np.array_equal(pf.es_supplier, calibrate(

@@ -17,6 +17,7 @@ from esri_net import (
     top_strength_share,
     validate,
     write_essentiality,
+    write_network,
 )
 
 from conftest import FIG1
@@ -90,6 +91,19 @@ def test_edge_arrays_are_pinned(params, digest):
     for arr in (net.supplier_idx, net.buyer_idx, net.weights):
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
+
+
+def test_written_files_are_pinned(tmp_path):
+    # sha256 of write_network's firms.csv and edges.csv of earlier releases
+    write_network(generate(SynthParams(n_firms=2000, n_edges=10000, n_ets=40, seed=9)), tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("firms.csv", "edges.csv")
+    }
+    assert digests == {
+        "firms.csv": "825b06b51dbd39b8067d1c44118bde8ba53fc1c1022698c891280b12a93a4559",
+        "edges.csv": "c5114f8869e2d62e491fe62c07c036267765f0c7c4301590458b39e5a722fdd6",
+    }
 
 
 def test_stages_draw_from_independent_streams():
