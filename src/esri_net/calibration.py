@@ -116,20 +116,6 @@ class InputPartition:
     edge_essential: np.ndarray
     matrix_source: str
 
-    def essential_suppliers(self, net: ProductionNetwork, firm_id: str) -> dict[str, list[str]]:
-        """Essential suppliers of one firm, grouped by supplier sector."""
-        b = net.index_of(firm_id)
-        groups: dict[str, list[str]] = {}
-        mask = (net.buyer_idx == b) & self.edge_essential
-        for s in net.supplier_idx[mask].tolist():
-            groups.setdefault(net.table.sector_names[net.table.sector_code[s]], []).append(net.ids[s])
-        return groups
-
-    def nonessential_suppliers(self, net: ProductionNetwork, firm_id: str) -> list[str]:
-        b = net.index_of(firm_id)
-        mask = (net.buyer_idx == b) & ~self.edge_essential
-        return [net.ids[s] for s in net.supplier_idx[mask].tolist()]
-
 
 def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
     """Flag every supply edge as essential or non-essential for its buyer."""
@@ -217,18 +203,11 @@ class ProductionFunctionSet:
         key = key[order]
         self.es_supplier = net.supplier_idx[es_idx]
         self.es_weight = net.weights[es_idx]
-        boundaries = np.flatnonzero(np.diff(key)) + 1
-        self.es_group_ptr = np.concatenate(([0], boundaries, [es_idx.size])).astype(np.int64)
-        if es_idx.size == 0:
-            self.es_group_ptr = np.array([0], dtype=np.int64)
-        group_first = self.es_group_ptr[:-1]
-        self.es_group_owner = (
-            net.buyer_idx[es_idx][group_first] if es_idx.size else np.empty(0, dtype=np.int64)
-        )
-        self.es_group_weight = np.add.reduceat(self.es_weight, group_first) if es_idx.size else np.empty(0)
-        self.es_group_sector_code = (
-            sector_code[self.es_supplier[group_first]] if es_idx.size else np.empty(0, dtype=np.int64)
-        )
+        group_first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+        self.es_group_ptr = np.append(group_first, es_idx.size)
+        self.es_group_owner = net.buyer_idx[es_idx[group_first]]
+        self.es_group_weight = np.add.reduceat(self.es_weight, group_first)
+        self.es_group_sector_code = sector_code[self.es_supplier[group_first]]
         # groups are already owner-sorted; firm_group_ptr[i]:firm_group_ptr[i+1]
         # is the group range of firm i
         counts = np.bincount(self.es_group_owner, minlength=n)
@@ -294,10 +273,6 @@ class ProductionFunctionSet:
         n_groups = np.diff(self.firm_group_ptr)
         n_ne = np.bincount(self.ne_buyer, minlength=self.net.n_firms)
         return self.net.ids, self.x0.tolist(), self.beta.tolist(), n_groups.tolist(), n_ne.tolist()
-
-    def audit_rows(self) -> list[tuple[str, float, float, int, int]]:
-        """(firm_id, x0, beta, n_essential_groups, n_nonessential) per firm."""
-        return list(zip(*self.audit_columns()))
 
 
 def calibrate(

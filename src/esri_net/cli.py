@@ -16,10 +16,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
@@ -36,14 +38,7 @@ from .calibration import (
 from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
 from .network import NetworkError, ProductionNetwork, load_network, validate, write_network
 from .propagation import InvalidScenario, propagate
-from .strategies import (
-    Heuristic,
-    InsufficientPoints,
-    StrategyCurve,
-    fit_rank_regimes,
-    rank_firms,
-    run_strategy,
-)
+from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
 
 log = logging.getLogger(__name__)
@@ -167,6 +162,18 @@ def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     return _read_ids(path)
 
 
+def _curve_candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
+    """Candidates of a removal ordering: each a known firm, listed once."""
+    ids = _candidates(args, net)
+    unknown = [fid for fid in ids if fid not in net]
+    if unknown:
+        raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
+    repeated = [fid for fid, k in Counter(ids).items() if k > 1]
+    if repeated:
+        raise InvalidScenario(f"repeated candidate id(s): {', '.join(repeated)}")
+    return ids
+
+
 def _removal_ids(spec: str) -> list[str]:
     path = Path(spec)
     if path.is_file():
@@ -187,12 +194,26 @@ def _index_table(
     )
 
 
+def _curve(
+    args: argparse.Namespace,
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    table: IndexTable,
+    heuristic: Heuristic,
+) -> StrategyCurve:
+    return run_heuristic(
+        net, pf, table, heuristic, args.target,
+        workers=args.threads, total_co2=args.total_co2,
+        tol=args.tol, max_iter=args.max_iter,
+    )
+
+
 def _write_curve(path: Path, curve: StrategyCurve) -> None:
     _write_csv(
         path,
         CURVE_COLUMNS,
         [
-            (p.rank, p.firm_id, p.cum_firms, _fmt(p.cum_co2_saved), _fmt(p.cum_job_loss),
+            (p.rank, p.firm_id, p.rank, _fmt(p.cum_co2_saved), _fmt(p.cum_job_loss),
              int(curve.benchmark_rank is not None and p.rank == curve.benchmark_rank))
             for p in curve.points
         ],
@@ -293,20 +314,15 @@ def _cmd_esri(args: argparse.Namespace) -> int:
 def _cmd_strategy(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    heuristic = Heuristic.from_name(args.heuristic)
-    table = _index_table(args, net, pf, _candidates(args, net))
-    ordering = rank_firms(table, heuristic)
-    curve = run_strategy(
-        net, pf, ordering, args.target,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter, heuristic=heuristic,
-    )
+    heuristic = Heuristic(args.heuristic)
+    table = _index_table(args, net, pf, _curve_candidates(args, net))
+    curve = _curve(args, net, pf, table, heuristic)
+    summary = curve.summary()
     out = Path(args.out)
     _write_curve(out / "curve.csv", curve)
-    _write_json(out / "summary.json", curve.summary())
+    _write_json(out / "summary.json", summary)
     _write_audit(out, pf)
     _write_config(out, "strategy", args)
-    summary = curve.summary()
     if curve.benchmark_rank is None:
         print(
             f"warning: target {args.target} unreachable; max savings "
@@ -367,7 +383,7 @@ def _read_ratio_column(path: Path) -> list[float]:
 def _cmd_report(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    candidates = _candidates(args, net)
+    candidates = _curve_candidates(args, net)
     if not candidates:
         raise MissingUpstream("no candidate firms to report on (is any firm an ETS member?)")
     out = Path(args.out)
@@ -384,18 +400,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ],
     )
 
+    by_emissions = sorted(rows, key=lambda r: (-r.co2_share_total, r.firm_id))
     for heuristic in Heuristic:
-        ordering = rank_firms(table, heuristic)
-        curve = run_strategy(
-            net, pf, ordering, args.target,
-            workers=args.threads, total_co2=args.total_co2,
-            tol=args.tol, max_iter=args.max_iter, heuristic=heuristic,
-        )
+        curve = _curve(args, net, pf, table, heuristic)
         _write_curve(out / f"strategy_curve_{heuristic.value}.csv", curve)
-        removed_at_benchmark = set(
-            ordering[: curve.benchmark_rank] if curve.benchmark_rank else []
-        )
-        by_emissions = sorted(rows, key=lambda r: (-r.co2_share_total, r.firm_id))
+        removed_at_benchmark = {p.firm_id for p in curve.points[: curve.benchmark_rank or 0]}
         _write_csv(
             out / f"co2_rank_{heuristic.value}.csv",
             ("rank", "firm_id", "co2_share_total", "removed"),
@@ -421,8 +430,22 @@ def _gamma_type(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
+def _share_type(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a non-negative finite share, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text}")
     return value
 
 
@@ -451,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop = argparse.ArgumentParser(add_help=False)
     p_prop.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="sup-norm convergence tolerance (default 1e-9)")
-    p_prop.add_argument("--max-iter", type=int, default=1000,
+    p_prop.add_argument("--max-iter", type=_positive_int, default=1000,
                         help="iteration cap (default 1000)")
 
     p_par = argparse.ArgumentParser(add_help=False)
@@ -491,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("strategy", parents=[p_net, p_prop, p_par],
                         help="evaluate a removal heuristic against a CO2 target")
     sp.add_argument("--heuristic", required=True, choices=[h.value for h in Heuristic])
-    sp.add_argument("--target", type=float, required=True,
+    sp.add_argument("--target", type=_share_type, required=True,
                     help="CO2 savings target as a share of the economy-wide total")
     sp.add_argument("--candidates", default="all-ets")
     sp.add_argument("--out", required=True)
@@ -509,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", parents=[p_net, p_prop, p_par],
                         help="figure-ready CSV series (scatter, curves, CO2 ranks)")
     sp.add_argument("--candidates", default="all-ets")
-    sp.add_argument("--target", type=float, default=0.2)
+    sp.add_argument("--target", type=_share_type, default=0.2)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_report)
 
@@ -522,6 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fit-regimes" and args.hi <= args.lo:
+        parser.error(f"fit-regimes needs --hi > --lo, got --hi {args.hi:g} --lo {args.lo:g}")
     try:
         return args.func(args)
     except DATA_ERRORS as exc:

@@ -10,6 +10,11 @@ Per-firm index rows report the candidate's own direct emissions as
 shares of the economy-wide and ETS totals (so ets shares over all ETS
 firms sum to one), and ratio = co2_share_total / ew_esri, the CO2 saved
 per unit of employment put at risk by removing that firm alone.
+
+esri, ew_esri and co2_shares each propagate one scenario for one score.
+batch_indices and the strategy curves go through evaluate_scenarios,
+which scores all three from one propagation per scenario and maps the
+scenarios over a fork-based process pool, results in input order.
 """
 from __future__ import annotations
 
@@ -93,7 +98,7 @@ class _Weights:
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
     """Configured economy-wide total, defaulting to the sum of known emissions."""
     if total_co2 is not None:
-        if total_co2 <= 0.0:
+        if not total_co2 > 0.0:
             raise ValueError(f"total_co2 must be positive, got {total_co2}")
         return float(total_co2)
     co2 = net.co2_array()
@@ -110,9 +115,6 @@ def ets_total_co2(net: ProductionNetwork) -> float:
 
 
 # -- scenario-level indices ----------------------------------------------------
-#
-# Each runs one propagation for one score; batch_indices and
-# evaluate_scenarios score many scenarios, all three scores from one run.
 
 
 def esri(
@@ -214,11 +216,10 @@ class _Batch:
 _SHARED: _Batch | None = None
 
 
-def _eval_shared(task: tuple[int, tuple[str, ...]]) -> tuple[int, float, float, float, int, bool]:
-    pos, removed_ids = task
+def _eval_shared(removed_ids: tuple[str, ...]) -> tuple[float, float, float, int, bool]:
     b = _SHARED
     eq = propagate(b.net, b.pf, ShockScenario(removed_ids), tol=b.tol, max_iter=b.max_iter)
-    return (pos, *b.weights.score(eq.h), eq.iterations, eq.converged)
+    return (*b.weights.score(eq.h), eq.iterations, eq.converged)
 
 
 def evaluate_scenarios(
@@ -231,34 +232,29 @@ def evaluate_scenarios(
 ) -> list[tuple[float, float, float, int, bool]]:
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
 
-    Scenarios are independent, so they fan out over a process pool;
-    results are gathered in input order and are bit-identical for any
-    worker count.  ew_esri is nan when no firm has an employee count.
+    Scenarios are independent, so they fan out over a process pool whose
+    map returns results in input order, bit-identical for any worker
+    count.  ew_esri is nan when no firm has an employee count.
     """
     global _SHARED
     _operators(net, pf)  # compile the sparse operators before forking workers
     _SHARED = _Batch(net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter)
     try:
-        tasks = list(enumerate(scenarios))
         n_workers = workers if workers is not None else (os.cpu_count() or 1)
-        n_workers = max(1, min(n_workers, len(tasks) or 1))
-        if n_workers == 1 or len(tasks) <= 1:
-            raw = [_eval_shared(t) for t in tasks]
-        else:
+        n_workers = min(n_workers, len(scenarios))
+        if n_workers > 1:
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # platform without fork: stay sequential
                 log.warning("fork unavailable; evaluating scenarios sequentially")
-                raw = [_eval_shared(t) for t in tasks]
             else:
                 # a scenario costs far more than a task's round trip, so hand
                 # them out one at a time and no worker is left with a long tail
                 with ctx.Pool(processes=n_workers) as pool:
-                    raw = pool.map(_eval_shared, tasks, chunksize=1)
+                    return pool.map(_eval_shared, scenarios, chunksize=1)
+        return list(map(_eval_shared, scenarios))
     finally:
         _SHARED = None
-    ordered = sorted(raw)
-    return [(e, w, c, it, conv) for _, e, w, c, it, conv in ordered]
 
 
 def batch_indices(
@@ -280,16 +276,14 @@ def batch_indices(
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
 
-    known = [fid for fid in candidates if fid in net]
-    results = evaluate_scenarios(
-        net, pf, [(fid,) for fid in known], workers=workers, tol=tol, max_iter=max_iter
-    )
-    by_id = dict(zip(known, results))
-
+    results = iter(evaluate_scenarios(
+        net, pf, [(fid,) for fid in candidates if fid in net],
+        workers=workers, tol=tol, max_iter=max_iter,
+    ))
     rows: list[IndexRow] = []
     not_converged: list[str] = []
     for fid in candidates:
-        if fid not in by_id:
+        if fid not in net:
             rows.append(
                 IndexRow(
                     firm_id=fid,
@@ -302,7 +296,7 @@ def batch_indices(
                 )
             )
             continue
-        esri_v, ew_v, _, _, converged = by_id[fid]
+        esri_v, ew_v, _, _, converged = next(results)
         if not converged:
             not_converged.append(fid)
         own_co2 = float(np.nan_to_num(net.co2_array()[net.index_of(fid)])) or 0.0

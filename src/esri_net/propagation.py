@@ -63,9 +63,6 @@ class ShockScenario:
     def __init__(self, removed: Iterable[str] = ()):
         object.__setattr__(self, "removed", frozenset(removed))
 
-    def sorted_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.removed))
-
     def __len__(self) -> int:
         return len(self.removed)
 
@@ -313,7 +310,7 @@ def propagate(
     is not reached within max_iter steps, converged is False and the
     last state is returned; levels are still valid bounds.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")

@@ -7,6 +7,10 @@ true equilibria of the joint removal, not sums of single-firm effects;
 cumulative CO2 savings count eliminated emissions including the partial
 reductions of firms that are hit but not removed.  The benchmark is the
 first prefix whose cumulative savings reach the target share.
+
+run_heuristic is the path from an index table to a curve: rank_firms
+orders the candidates and run_strategy evaluates the prefixes of a
+(possibly caller-supplied) ordering through indices.evaluate_scenarios.
 """
 from __future__ import annotations
 
@@ -37,14 +41,6 @@ class Heuristic(enum.Enum):
     LEAST_RISKY_FIRST = "risk"
     OPTIMAL_RATIO = "ratio"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Heuristic":
-        for h in cls:
-            if h.value == name:
-                return h
-        raise ValueError(f"unknown heuristic {name!r}; expected one of "
-                         f"{', '.join(h.value for h in cls)}")
-
 
 def rank_firms(table: IndexTable, heuristic: Heuristic) -> list[str]:
     """Candidate ids in removal order; ties break by co2 desc, then id asc."""
@@ -69,9 +65,8 @@ def rank_firms(table: IndexTable, heuristic: Heuristic) -> list[str]:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    rank: int
+    rank: int  # also the number of firms removed so far
     firm_id: str
-    cum_firms: int
     cum_co2_saved: float  # share of the economy-wide total
     cum_job_loss: float  # ew_esri of the prefix removal
 
@@ -97,7 +92,7 @@ class StrategyCurve:
             "benchmark_rank": self.benchmark_rank,
             "co2_reduction": point.cum_co2_saved if point else 0.0,
             "expected_job_loss": point.cum_job_loss if point else 0.0,
-            "firms_removed": point.cum_firms if point else 0,
+            "firms_removed": point.rank if point else 0,
             "target_reached": self.benchmark_rank is not None,
         }
 
@@ -119,7 +114,7 @@ def run_strategy(
     ordering stays below it, the curve is returned with benchmark_rank
     None (logged, not raised).
     """
-    if target < 0.0:
+    if not target >= 0.0:
         raise ValueError(f"target must be non-negative, got {target}")
     if len(set(ordering)) != len(ordering):
         raise ValueError("removal ordering contains duplicate firm ids")
@@ -132,11 +127,7 @@ def run_strategy(
     benchmark: int | None = 0 if target == 0.0 else None
     for rank, (fid, (_, ew, elim, _, _)) in enumerate(zip(ordering, results), start=1):
         saved = elim / total
-        points.append(
-            CurvePoint(
-                rank=rank, firm_id=fid, cum_firms=rank, cum_co2_saved=saved, cum_job_loss=ew
-            )
-        )
+        points.append(CurvePoint(rank=rank, firm_id=fid, cum_co2_saved=saved, cum_job_loss=ew))
         # float-noise guard on the threshold comparison only
         if benchmark is None and saved >= target - 1e-12:
             benchmark = rank

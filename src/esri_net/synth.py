@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .calibration import ESSENTIAL_SUPPLIER_LETTERS
-from .network import FirmTable, ProductionNetwork, compute_strengths, load_network
+from .network import FirmTable, ProductionNetwork, compute_strengths
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +58,10 @@ class SynthParams:
     weight_lognormal: tuple[float, float] = (0.0, 1.0)
     n_ets: int = 0
     seed: int = 0
-    fixture_override: str | None = None
 
 
 def _check(params: SynthParams) -> None:
     p = params
-    if p.fixture_override is not None:
-        return
     if p.n_firms < 1:
         raise InfeasibleParams(f"n_firms must be at least 1, got {p.n_firms}")
     if p.n_edges < 0 or p.n_edges > p.n_firms * (p.n_firms - 1):
@@ -134,12 +131,8 @@ def _wire(
 
 
 def generate(params: SynthParams) -> ProductionNetwork:
-    """Sample a network from the parameters (or load the override trio)."""
+    """Sample a network from the parameters."""
     _check(params)
-    if params.fixture_override is not None:
-        root = Path(params.fixture_override)
-        return load_network(root / "firms.csv", root / "edges.csv")
-
     n = params.n_firms
     letters = sorted(params.sector_weights)
     probs = np.array([params.sector_weights[s] for s in letters], dtype=float)

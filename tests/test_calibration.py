@@ -69,13 +69,13 @@ def test_strict_matrix_raises_on_unknown_pair():
 
 
 def test_fig1_partition(fig1_net, fig1_matrix):
-    part = classify_inputs(fig1_net, fig1_matrix)
+    pf = calibrate(fig1_net, classify_inputs(fig1_net, fig1_matrix))
     # the only essential supply relation is d -> e
-    ess = part.essential_suppliers(fig1_net, "e")
-    assert ess == {"D35": ["d"]}
-    assert part.essential_suppliers(fig1_net, "c") == {}
-    assert set(part.nonessential_suppliers(fig1_net, "c")) == {"a", "b", "d"}
-    assert part.nonessential_suppliers(fig1_net, "d") == ["e"]
+    groups = pf.function_of("e").essential_groups
+    assert [(g.sector, list(g.members)) for g in groups] == [("D35", ["d"])]
+    assert pf.function_of("c").essential_groups == ()
+    assert set(pf.function_of("c").nonessential) == {"a", "b", "d"}
+    assert list(pf.function_of("d").nonessential) == ["e"]
 
 
 def test_partition_groups_by_supplier_sector():
@@ -91,9 +91,12 @@ def test_partition_groups_by_supplier_sector():
         SupplyEdge("s3", "buyer", 4.0),
     ]
     net = ProductionNetwork(firms, edges)
-    part = classify_inputs(net, EssentialityMatrix.default())
-    groups = part.essential_suppliers(net, "buyer")
-    assert groups == {"C10": ["s1", "s2"], "D35": ["s3"]}
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()))
+    groups = pf.function_of("buyer").essential_groups
+    assert [(g.sector, g.members) for g in groups] == [
+        ("C10", {"s1": 1.0, "s2": 2.0}),
+        ("D35", {"s3": 4.0}),
+    ]
 
 
 # -- calibrated functions ----------------------------------------------------
@@ -245,7 +248,7 @@ def test_output_is_capped_at_baseline():
 
 def test_audit_rows_cover_all_firms(fig1_net, fig1_matrix):
     pf = calibrate(fig1_net, classify_inputs(fig1_net, fig1_matrix), gamma=0.0)
-    rows = pf.audit_rows()
+    rows = list(zip(*pf.audit_columns()))
     assert [r[0] for r in rows] == ["a", "b", "c", "d", "e"]
     by = {r[0]: r for r in rows}
     assert by["c"][1] == pytest.approx(100.0)  # x0 from in-strength fallback

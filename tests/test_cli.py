@@ -37,13 +37,31 @@ def read_csv(path):
 # -- exit codes -----------------------------------------------------------------
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["validate"])  # --net is required
     assert exc.value.code == 2
+
+    out = tmp_path / "o"
+    for argv in (
+        ["strategy", "--heuristic", "ratio", "--target", "-0.5"],
+        ["strategy", "--heuristic", "ratio", "--target", "nan"],
+        ["report", "--target", "inf"],
+        ["simulate", "--remove", "d", "--max-iter", "0"],
+        ["simulate", "--remove", "d", "--tol", "nan"],
+        ["esri", "--total-co2", "nan"],
+        ["esri", "--total-co2", "inf"],
+        ["fit-regimes", "--hi", "5", "--lo", "10"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--net", FIG1, "--out", out])
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists(), argv
 
 
 def test_data_errors_exit_3(tmp_path, capsys):
@@ -65,6 +83,16 @@ def test_data_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "InvalidScenario" in capsys.readouterr().err
+
+    # strategy curves need every candidate known and listed once; esri warns and skips
+    cand, out = tmp_path / "cand.txt", tmp_path / "curve"
+    for ids, message in (("d\nzz\na\n", "unknown candidate id(s): zz"),
+                         ("d\na\nd\n", "repeated candidate id(s): d")):
+        cand.write_text(ids)
+        for command in (["strategy", "--heuristic", "ratio", "--target", "0.2"], ["report"]):
+            assert run([*command, "--net", FIG1, "--candidates", cand, "--out", out]) == 3
+            assert f"InvalidScenario: {message}" in capsys.readouterr().err
+            assert not out.exists(), command
 
 
 def test_validate_prints_report(capsys):

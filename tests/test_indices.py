@@ -148,6 +148,8 @@ def test_total_co2_resolution(fig1_net):
         resolve_total_co2(bare, None)
     with pytest.raises(ValueError):
         resolve_total_co2(fig1_net, -1.0)
+    with pytest.raises(ValueError):
+        resolve_total_co2(fig1_net, float("nan"))
 
 
 def test_explicit_total_rescales_share(fig1_net, fig1_pf):

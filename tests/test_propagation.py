@@ -34,7 +34,7 @@ from conftest import RandomCase
 def test_scenario_deduplicates_and_sorts():
     s = ShockScenario(["b", "a", "b"])
     assert s.removed == frozenset({"a", "b"})
-    assert s.sorted_ids() == ("a", "b")
+    assert sorted(s.removed) == ["a", "b"]
     assert len(s) == 2
     assert len(ShockScenario()) == 0
 
@@ -54,6 +54,8 @@ def test_unknown_ids_rejected(fig1_net, fig1_pf):
 def test_argument_validation(fig1_net, fig1_pf):
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], tol=0.0)
+    with pytest.raises(ValueError):
+        propagate(fig1_net, fig1_pf, ["a"], tol=float("nan"))
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], max_iter=0)
 

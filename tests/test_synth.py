@@ -20,8 +20,6 @@ from esri_net import (
     write_network,
 )
 
-from conftest import FIG1
-
 
 BASE = SynthParams(n_firms=400, n_edges=2400, n_ets=30, seed=9)
 
@@ -169,11 +167,3 @@ def test_essentiality_rows_cover_observed_pairs(tmp_path):
     matrix = EssentialityMatrix.from_csv(path)
     for s, b, flag in rows:
         assert matrix.is_essential(s, b) is bool(flag)
-
-
-# -- fixture override ----------------------------------------------------------------
-
-
-def test_fixture_override_loads_checked_in_network(fig1_net):
-    params = SynthParams(n_firms=1, n_edges=0, fixture_override=str(FIG1))
-    assert generate(params) == fig1_net
