@@ -40,24 +40,22 @@ ESSENTIAL_SUPPLIER_LETTERS = frozenset({"B", "C", "D"})
 X0_RULES = ("out", "max")
 
 
-class UnknownSector(Exception):
-    """Sector pair not covered by the matrix and no default rule configured."""
-
-
 @dataclass(frozen=True)
 class EssentialityMatrix:
     """Sector-pair essentiality lookup.
 
     Lookup order: exact (supplier, buyer) code pair, then letter-level
-    pair, then the default rule.  default_rule is one of
-    "non-essential", "supplier-letter" (essential iff the supplier
-    sector letter is in ESSENTIAL_SUPPLIER_LETTERS) or None for strict
-    lookups that raise UnknownSector on uncovered pairs.
+    pair, then the default rule, one of "non-essential" (what from_csv
+    uses) or "supplier-letter" (essential iff the supplier sector letter
+    is in ESSENTIAL_SUPPLIER_LETTERS; what default() uses).
     """
 
     pairs: Mapping[tuple[str, str], bool]
-    default_rule: str | None
-    source: str
+    default_rule: str
+
+    def __post_init__(self) -> None:
+        if self.default_rule not in ("non-essential", "supplier-letter"):
+            raise ValueError(f"unknown default_rule {self.default_rule!r}")
 
     def is_essential(self, supplier_sector: str, buyer_sector: str) -> bool:
         hit = self.pairs.get((supplier_sector, buyer_sector))
@@ -66,18 +64,13 @@ class EssentialityMatrix:
         hit = self.pairs.get((supplier_sector[:1], buyer_sector[:1]))
         if hit is not None:
             return hit
-        if self.default_rule == "non-essential":
-            return False
         if self.default_rule == "supplier-letter":
             return supplier_sector[:1] in ESSENTIAL_SUPPLIER_LETTERS
-        raise UnknownSector(
-            f"sector pair ({supplier_sector!r}, {buyer_sector!r}) is not covered "
-            "by the essentiality matrix"
-        )
+        return False
 
     @classmethod
     def default(cls) -> "EssentialityMatrix":
-        return cls(pairs={}, default_rule="supplier-letter", source="default")
+        return cls(pairs={}, default_rule="supplier-letter")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EssentialityMatrix":
@@ -102,7 +95,7 @@ class EssentialityMatrix:
                     f"{p.name} row {row_no}: essential must be 0 or 1, got {flag!r}"
                 )
             pairs[(sup, buy)] = flag == "1"
-        return cls(pairs=pairs, default_rule="non-essential", source=str(p))
+        return cls(pairs=pairs, default_rule="non-essential")
 
 
 # -- input classification -----------------------------------------------------
@@ -114,7 +107,6 @@ class InputPartition:
 
     ids: tuple[str, ...]
     edge_essential: np.ndarray
-    matrix_source: str
 
 
 def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
@@ -126,7 +118,7 @@ def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> Input
     for key in np.unique(pair_key).tolist():
         sup, buy = divmod(key, len(names))
         flags[pair_key == key] = matrix.is_essential(names[sup], names[buy])
-    return InputPartition(ids=net.ids, edge_essential=flags, matrix_source=matrix.source)
+    return InputPartition(ids=net.ids, edge_essential=flags)
 
 
 # -- calibrated production functions ------------------------------------------
@@ -182,9 +174,7 @@ class ProductionFunctionSet:
         if partition.ids != net.ids:
             raise ValueError("input partition was built for a different network")
         self.net = net
-        self.partition = partition
         self.gamma = float(gamma)
-        self.x0_rule = x0_rule
 
         st = compute_strengths(net)
         if x0_rule == "out":

@@ -28,13 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from . import __version__
-from .calibration import (
-    EssentialityMatrix,
-    ProductionFunctionSet,
-    UnknownSector,
-    calibrate,
-    classify_inputs,
-)
+from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
 from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
 from .network import NetworkError, ProductionNetwork, load_network, validate, write_network
 from .propagation import InvalidScenario, propagate
@@ -43,22 +37,23 @@ from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, w
 
 log = logging.getLogger(__name__)
 
+
+class MissingUpstream(Exception):
+    """Report requested but there are no candidate results to report on."""
+
+
 DATA_ERRORS = (
     NetworkError,
-    UnknownSector,
     InvalidScenario,
     NoEmploymentData,
     MissingTotal,
     InsufficientPoints,
     InfeasibleParams,
+    MissingUpstream,
 )
 
 INDEX_COLUMNS = ("firm_id", "esri", "ew_esri", "co2_share_total", "co2_share_ets", "ratio")
 CURVE_COLUMNS = ("rank", "firm_id", "cum_firms", "cum_co2_saved", "cum_job_loss", "benchmark_flag")
-
-
-class MissingUpstream(Exception):
-    """Report requested but there are no candidate results to report on."""
 
 
 # -- small atomic-output helpers ------------------------------------------------
@@ -163,11 +158,9 @@ def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
 
 
 def _curve_candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
-    """Candidates of a removal ordering: each a known firm, listed once."""
+    """Candidates of a removal ordering, each listed once; batch_indices
+    rejects unknown ids."""
     ids = _candidates(args, net)
-    unknown = [fid for fid in ids if fid not in net]
-    if unknown:
-        raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
     repeated = [fid for fid, k in Counter(ids).items() if k > 1]
     if repeated:
         raise InvalidScenario(f"repeated candidate id(s): {', '.join(repeated)}")
@@ -290,8 +283,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_esri(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    table = _index_table(args, net, pf, _candidates(args, net))
-    bad = [r.firm_id for r in table.rows if r.error is not None]
+    candidates = _candidates(args, net)
+    bad = [fid for fid in candidates if fid not in net]
+    table = _index_table(args, net, pf, [fid for fid in candidates if fid in net])
     if bad:
         print(f"warning: {len(bad)} candidate(s) failed: {', '.join(bad[:5])}", file=sys.stderr)
     out = Path(args.out)
@@ -302,12 +296,11 @@ def _cmd_esri(args: argparse.Namespace) -> int:
             (r.firm_id, _fmt(r.esri), _fmt(r.ew_esri), _fmt(r.co2_share_total),
              _fmt(r.co2_share_ets), _fmt(r.ratio))
             for r in table.rows
-            if r.error is None
         ],
     )
     _write_audit(out, pf)
     _write_config(out, "esri", args)
-    print(f"indices for {len(table.rows) - len(bad)} candidate(s) written to {out}")
+    print(f"indices for {len(table.rows)} candidate(s) written to {out}")
     return 0
 
 
@@ -389,18 +382,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     table = _index_table(args, net, pf, candidates)
-    rows = [r for r in table.rows if r.error is None]
     _write_csv(
         out / "scatter_co2_vs_ew_esri.csv",
         ("firm_id", "sector", "ew_esri", "co2_share_total", "co2_share_ets"),
         [
             (r.firm_id, net.table.sector_names[net.table.sector_code[net.index_of(r.firm_id)]],
              _fmt(r.ew_esri), _fmt(r.co2_share_total), _fmt(r.co2_share_ets))
-            for r in rows
+            for r in table.rows
         ],
     )
 
-    by_emissions = sorted(rows, key=lambda r: (-r.co2_share_total, r.firm_id))
+    by_emissions = sorted(table.rows, key=lambda r: (-r.co2_share_total, r.firm_id))
     for heuristic in Heuristic:
         curve = _curve(args, net, pf, table, heuristic)
         _write_curve(out / f"strategy_curve_{heuristic.value}.csv", curve)
@@ -414,7 +406,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             ],
         )
     _write_config(out, "report", args)
-    print(f"report series for {len(rows)} candidate(s) written to {out}")
+    print(f"report series for {len(table.rows)} candidate(s) written to {out}")
     return 0
 
 
@@ -468,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--x0-rule", choices=("out", "max"), default="out",
                          help="reference output rule (default out)")
 
-    p_net = argparse.ArgumentParser(add_help=False, parents=[p_model])
+    p_net = argparse.ArgumentParser(add_help=False)
     p_net.add_argument("--net", required=True, help="directory with firms.csv and edges.csv")
 
     p_prop = argparse.ArgumentParser(add_help=False)
@@ -498,20 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture", help="copy this fixture directory instead of sampling")
     sp.set_defaults(func=_cmd_synth)
 
-    sp = sub.add_parser("simulate", parents=[p_net, p_prop],
+    sp = sub.add_parser("simulate", parents=[p_net, p_model, p_prop],
                         help="propagate one removal scenario")
     sp.add_argument("--remove", required=True, help="comma-separated firm ids or a file")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("esri", parents=[p_net, p_prop, p_par],
+    sp = sub.add_parser("esri", parents=[p_net, p_model, p_prop, p_par],
                         help="single-firm-removal index table")
     sp.add_argument("--candidates", default="all-ets",
                     help="'all-ets' or a file with one firm id per line")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_esri)
 
-    sp = sub.add_parser("strategy", parents=[p_net, p_prop, p_par],
+    sp = sub.add_parser("strategy", parents=[p_net, p_model, p_prop, p_par],
                         help="evaluate a removal heuristic against a CO2 target")
     sp.add_argument("--heuristic", required=True, choices=[h.value for h in Heuristic])
     sp.add_argument("--target", type=_share_type, required=True,
@@ -529,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_fit_regimes)
 
-    sp = sub.add_parser("report", parents=[p_net, p_prop, p_par],
+    sp = sub.add_parser("report", parents=[p_net, p_model, p_prop, p_par],
                         help="figure-ready CSV series (scatter, curves, CO2 ranks)")
     sp.add_argument("--candidates", default="all-ets")
     sp.add_argument("--target", type=_share_type, default=0.2)
@@ -551,9 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DATA_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except MissingUpstream as exc:
-        print(f"error: MissingUpstream: {exc}", file=sys.stderr)
         return 3
 
 

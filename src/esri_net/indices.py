@@ -33,6 +33,7 @@ from .network import ProductionNetwork, compute_strengths
 from .propagation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    InvalidScenario,
     ShockScenario,
     _operators,
     propagate,
@@ -169,7 +170,10 @@ class IndexRow:
     co2_share_total: float
     co2_share_ets: float
     ratio: float
-    error: str | None = None
+    # A row is always a result (batch_indices rejects unknown ids).  A class
+    # constant, not a field, because acceptance criterion 7 asserts
+    # `row.error is None` on every row.
+    error = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ class IndexTable:
             raise KeyError(f"no index row for firm {firm_id!r}") from None
 
     def finite_ratios_descending(self) -> list[float]:
-        values = [r.ratio for r in self.rows if r.error is None and math.isfinite(r.ratio) and r.ratio > 0.0]
+        values = [r.ratio for r in self.rows if math.isfinite(r.ratio) and r.ratio > 0.0]
         return sorted(values, reverse=True)
 
 
@@ -268,35 +272,24 @@ def batch_indices(
 ) -> IndexTable:
     """Single-firm-removal indices for every candidate, in input order.
 
-    Unknown candidate ids become error rows instead of aborting the batch.
+    Raises InvalidScenario, naming the ids in input order, before any
+    propagation when a candidate is not a firm of the network.
     """
+    unknown = [fid for fid in candidates if fid not in net]
+    if unknown:
+        raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
     employees = net.employees_array()
     if not (~np.isnan(employees)).any():
         raise NoEmploymentData("no firm has an employee count")
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
 
-    results = iter(evaluate_scenarios(
-        net, pf, [(fid,) for fid in candidates if fid in net],
-        workers=workers, tol=tol, max_iter=max_iter,
-    ))
+    results = evaluate_scenarios(
+        net, pf, [(fid,) for fid in candidates], workers=workers, tol=tol, max_iter=max_iter
+    )
     rows: list[IndexRow] = []
     not_converged: list[str] = []
-    for fid in candidates:
-        if fid not in net:
-            rows.append(
-                IndexRow(
-                    firm_id=fid,
-                    esri=math.nan,
-                    ew_esri=math.nan,
-                    co2_share_total=math.nan,
-                    co2_share_ets=math.nan,
-                    ratio=math.nan,
-                    error=f"InvalidScenario: unknown firm id {fid!r}",
-                )
-            )
-            continue
-        esri_v, ew_v, _, _, converged = next(results)
+    for fid, (esri_v, ew_v, _, _, converged) in zip(candidates, results):
         if not converged:
             not_converged.append(fid)
         own_co2 = float(np.nan_to_num(net.co2_array()[net.index_of(fid)])) or 0.0

@@ -98,7 +98,6 @@ class SupplyEdge:
 class StrengthTable:
     """Per-firm in/out/total strengths, aligned with the network firm order."""
 
-    ids: tuple[str, ...]
     s_in: np.ndarray
     s_out: np.ndarray
 
@@ -259,7 +258,6 @@ class ProductionNetwork:
         net.supplier_idx, net.buyer_idx, net.weights = _merge_parallel(
             len(net.ids), sup, buy, wgt
         )
-        net._matrix = None
         net._strengths = None
         return net
 
@@ -310,16 +308,6 @@ class ProductionNetwork:
             SupplyEdge(self.ids[s], self.ids[b], float(w))
             for s, b, w in zip(self.supplier_idx, self.buyer_idx, self.weights)
         ]
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """Weight matrix W with W[i, j] = flow from firm i to firm j."""
-        if self._matrix is None:
-            n = self.n_firms
-            self._matrix = sp.csr_matrix(
-                (self.weights, (self.supplier_idx, self.buyer_idx)), shape=(n, n)
-            )
-        return self._matrix
 
     # -- read-only firm columns used across modules ---------------------------
 
@@ -557,11 +545,12 @@ def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
 
 
 def compute_strengths(net: ProductionNetwork) -> StrengthTable:
-    """In/out strengths as row and column sums of the weight matrix."""
+    """In/out strengths as column and row sums of the weight matrix W,
+    W[i, j] = flow from firm i to firm j, built for the sums only."""
     if net._strengths is None:
-        w = net.matrix
+        n = net.n_firms
+        w = sp.csr_matrix((net.weights, (net.supplier_idx, net.buyer_idx)), shape=(n, n))
         net._strengths = StrengthTable(
-            ids=net.ids,
             s_in=np.asarray(w.sum(axis=0)).ravel(),
             s_out=np.asarray(w.sum(axis=1)).ravel(),
         )

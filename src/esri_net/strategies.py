@@ -44,11 +44,6 @@ class Heuristic(enum.Enum):
 
 def rank_firms(table: IndexTable, heuristic: Heuristic) -> list[str]:
     """Candidate ids in removal order; ties break by co2 desc, then id asc."""
-    rows = [r for r in table.rows if r.error is None]
-    if len(rows) < len(table.rows):
-        bad = [r.firm_id for r in table.rows if r.error is not None]
-        raise ValueError(f"index table has error rows for: {', '.join(bad)}")
-
     if heuristic is Heuristic.LARGEST_EMITTERS_FIRST:
         key = lambda r: (-r.co2_share_total, r.firm_id)
     elif heuristic is Heuristic.LEAST_RISKY_FIRST:
@@ -60,7 +55,7 @@ def rank_firms(table: IndexTable, heuristic: Heuristic) -> list[str]:
             -r.co2_share_total,
             r.firm_id,
         )
-    return [r.firm_id for r in sorted(rows, key=key)]
+    return [r.firm_id for r in sorted(table.rows, key=key)]
 
 
 @dataclass(frozen=True)

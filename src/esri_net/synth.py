@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -61,6 +62,7 @@ class SynthParams:
 
 
 def _check(params: SynthParams) -> None:
+    """Reject parameters that admit no valid network; the float tests are NaN-safe."""
     p = params
     if p.n_firms < 1:
         raise InfeasibleParams(f"n_firms must be at least 1, got {p.n_firms}")
@@ -70,21 +72,20 @@ def _check(params: SynthParams) -> None:
         )
     if not 0 <= p.n_ets <= p.n_firms:
         raise InfeasibleParams(f"n_ets={p.n_ets} outside [0, {p.n_firms}]")
-    if p.degree_exponent <= 1.0:
-        raise InfeasibleParams(
-            f"degree_exponent must exceed 1, got {p.degree_exponent}"
-        )
-    if not p.sector_weights or any(w < 0 for w in p.sector_weights.values()):
-        raise InfeasibleParams("sector_weights must be a non-empty, non-negative mapping")
-    if sum(p.sector_weights.values()) <= 0.0:
-        raise InfeasibleParams("sector_weights must have positive mass")
+    if not 1.0 < p.degree_exponent < math.inf:
+        raise InfeasibleParams(f"degree_exponent must be finite and > 1, got {p.degree_exponent}")
+    if p.seed < 0:
+        raise InfeasibleParams(f"seed must be non-negative, got {p.seed}")
+    weights = p.sector_weights.values()
+    if not (all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0.0):
+        raise InfeasibleParams("sector_weights must be finite, non-negative, of positive mass")
     for name, (mu, sigma) in (
         ("employment_lognormal", p.employment_lognormal),
         ("emission_lognormal", p.emission_lognormal),
         ("weight_lognormal", p.weight_lognormal),
     ):
-        if sigma < 0.0:
-            raise InfeasibleParams(f"{name} sigma must be non-negative, got {sigma}")
+        if not (math.isfinite(mu) and 0.0 <= sigma < math.inf):
+            raise InfeasibleParams(f"{name} needs finite mu and sigma >= 0, got ({mu}, {sigma})")
 
 
 def _stream(params: SynthParams, stage: int) -> np.random.Generator:

@@ -93,9 +93,7 @@ class RandomCase:
                     pair = (self.sectors[i], self.sectors[j])
                     if pair not in self.ess:
                         self.ess[pair] = bool(rng.random() < 0.4)
-        self.matrix = EssentialityMatrix(
-            pairs=dict(self.ess), default_rule="non-essential", source="random"
-        )
+        self.matrix = EssentialityMatrix(pairs=dict(self.ess), default_rule="non-essential")
 
     def pf(self, gamma: float):
         return calibrate(self.net, classify_inputs(self.net, self.matrix), gamma=gamma)

@@ -10,7 +10,6 @@ from esri_net import (
     LevelState,
     ProductionNetwork,
     SupplyEdge,
-    UnknownSector,
     calibrate,
     classify_inputs,
     compute_strengths,
@@ -51,18 +50,15 @@ def test_default_matrix_uses_supplier_letter():
 
 
 def test_exact_pair_overrides_letter_rule():
-    m = EssentialityMatrix(
-        pairs={("C25", "G46"): False}, default_rule="supplier-letter", source="test"
-    )
+    m = EssentialityMatrix(pairs={("C25", "G46"): False}, default_rule="supplier-letter")
     assert m.is_essential("C25", "G46") is False  # exact pair wins
     assert m.is_essential("C25", "G47") is True   # letter rule for the rest
 
 
-def test_strict_matrix_raises_on_unknown_pair():
-    m = EssentialityMatrix(pairs={("A01", "B05"): True}, default_rule=None, source="test")
-    assert m.is_essential("A01", "B05") is True
-    with pytest.raises(UnknownSector):
-        m.is_essential("A01", "C25")
+def test_unknown_default_rule_rejected():
+    # an unlisted pair must never fall through to an unnamed rule
+    with pytest.raises(ValueError, match="default_rule"):
+        EssentialityMatrix(pairs={}, default_rule="strict")
 
 
 # -- input classification ----------------------------------------------------

@@ -101,6 +101,14 @@ def test_validate_prints_report(capsys):
     assert "5 firms" in out or "firms: 5" in out
 
 
+def test_validate_rejects_model_options(capsys):
+    # validate reads the network only, so calibration options are usage errors
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--net", FIG1, "--gamma", 0.3])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
+
+
 # -- synth ------------------------------------------------------------------------
 
 
@@ -125,9 +133,10 @@ def test_synth_fixture_copy(tmp_path):
 
 
 def test_synth_infeasible_params_exit_3(tmp_path, capsys):
-    code = run(["synth", "--out", tmp_path / "x", "--n-firms", 3, "--n-edges", 100])
-    assert code == 3
-    assert "InfeasibleParams" in capsys.readouterr().err
+    base = ["synth", "--out", tmp_path / "x", "--n-firms", 50, "--n-edges", 100]
+    for extra in (["--n-firms", 3], ["--degree-exponent", "nan"], ["--seed", -1]):
+        assert run([*base, *extra]) == 3, extra
+        assert "InfeasibleParams" in capsys.readouterr().err
 
 
 # -- simulate -----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from esri_net import (
     EssentialityMatrix,
     Firm,
+    InvalidScenario,
     MissingTotal,
     NoEmploymentData,
     ProductionNetwork,
@@ -179,7 +180,6 @@ def test_batch_on_bundled_example(fig1_net, fig1_pf):
     assert d.co2_share_total == pytest.approx(0.30, abs=1e-12)  # d's own emissions
     assert d.co2_share_ets == pytest.approx(0.30, abs=1e-12)
     assert d.ratio == pytest.approx(0.30 / 0.70, abs=1e-12)
-    assert d.error is None
     a = table.row("a")
     assert a.ew_esri == pytest.approx(0.15, abs=1e-12)
     assert a.ratio == pytest.approx(0.20 / 0.15, abs=1e-12)
@@ -190,12 +190,9 @@ def test_batch_ets_shares_sum_to_one(fig1_net, fig1_pf):
     assert sum(r.co2_share_ets for r in table.rows) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_batch_reports_unknown_ids_as_row_errors(fig1_net, fig1_pf, capsys):
-    table = batch_indices(fig1_net, fig1_pf, ["d", "zz"], workers=1)
-    assert table.row("d").error is None
-    bad = table.row("zz")
-    assert bad.error is not None and "zz" in bad.error
-    assert math.isnan(bad.esri)
+def test_batch_rejects_unknown_ids(fig1_net, fig1_pf):
+    with pytest.raises(InvalidScenario, match=r"^unknown candidate id\(s\): zz, yy$"):
+        batch_indices(fig1_net, fig1_pf, ["d", "zz", "a", "yy"], workers=1)
 
 
 def test_index_table_row_lookup(fig1_net, fig1_pf):
@@ -228,7 +225,8 @@ def test_infinite_ratio_for_jobless_emitter():
 def test_nonconverged_rows_keep_values(fig1_net, fig1_pf, caplog):
     with caplog.at_level("WARNING"):
         table = batch_indices(fig1_net, fig1_pf, ["d"], workers=1, max_iter=1)
-    assert table.row("d").error is None
+    d = table.row("d")
+    assert all(math.isfinite(v) for v in (d.esri, d.ew_esri, d.co2_share_total, d.ratio))
     assert any("iteration cap" in r.getMessage() for r in caplog.records)
 
 

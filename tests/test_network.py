@@ -337,7 +337,7 @@ def test_round_trip_random_networks(tmp_path):
 
 def test_fig1_strengths(fig1_net):
     st = compute_strengths(fig1_net)
-    by = {i: (si, so) for i, si, so in zip(st.ids, st.s_in, st.s_out)}
+    by = {i: (si, so) for i, si, so in zip(fig1_net.ids, st.s_in, st.s_out)}
     assert by["a"] == (0.0, 25.0)
     assert by["b"] == (0.0, 25.0)
     assert by["c"] == (100.0, 0.0)
@@ -360,7 +360,10 @@ def test_matrix_matches_dense_mirror():
     rng = np.random.default_rng(22)
     for _ in range(10):
         case = RandomCase(rng)
-        npt.assert_allclose(case.net.matrix.toarray(), case.dense, rtol=0, atol=0)
+        net = case.net
+        dense = np.zeros((case.n, case.n))
+        dense[net.supplier_idx, net.buyer_idx] = net.weights
+        npt.assert_allclose(dense, case.dense, rtol=0, atol=0)
 
 
 # -- validation ------------------------------------------------------------

@@ -357,9 +357,9 @@ def test_bit_identical_to_reference_on_corner_networks():
     while case.n < 8:
         case = RandomCase(rng)
     all_essential = EssentialityMatrix(
-        pairs={pair: True for pair in case.ess}, default_rule="non-essential", source="all"
+        pairs={pair: True for pair in case.ess}, default_rule="non-essential"
     )
-    none_essential = EssentialityMatrix(pairs={}, default_rule="non-essential", source="none")
+    none_essential = EssentialityMatrix(pairs={}, default_rule="non-essential")
     edgeless = ProductionNetwork(case.net.firms, [])
     corners = ((edgeless, none_essential), (case.net, none_essential), (case.net, all_essential))
     for net, matrix in corners:

@@ -37,12 +37,6 @@ def test_rankings_on_bundled_example(fig1_table):
     assert rank_firms(fig1_table, Heuristic.OPTIMAL_RATIO) == list("abdce")
 
 
-def test_rank_rejects_error_rows(fig1_net, fig1_pf):
-    table = batch_indices(fig1_net, fig1_pf, ["d", "zz"], workers=1)
-    with pytest.raises(ValueError):
-        rank_firms(table, Heuristic.OPTIMAL_RATIO)
-
-
 # -- curves --------------------------------------------------------------------
 
 

@@ -131,6 +131,16 @@ def test_infeasible_params():
         generate(SynthParams(n_firms=3, n_edges=2, sector_weights={}))
     with pytest.raises(InfeasibleParams):
         generate(SynthParams(n_firms=3, n_edges=2, weight_lognormal=(0.0, -1.0)))
+    # NaN fails every comparison, so each check must be written to reject it
+    nan = float("nan")
+    for params in (
+        SynthParams(50, 100, employment_lognormal=(1.5, nan)),
+        SynthParams(50, 100, n_ets=5, emission_lognormal=(nan, 1.0)),
+        SynthParams(50, 100, weight_lognormal=(float("inf"), 1.0)),
+        SynthParams(50, 100, sector_weights={"A": nan, "C": 1.0}),
+    ):
+        with pytest.raises(InfeasibleParams):
+            generate(params)
 
 
 # -- tail structure ---------------------------------------------------------------
