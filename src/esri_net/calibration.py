@@ -22,14 +22,13 @@ only.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .network import MissingFile, ProductionNetwork, SchemaError, compute_strengths
+from .network import ProductionNetwork, SchemaError, _at_row, _csv_rows, compute_strengths
 
 ESSENTIALITY_COLUMNS = ("supplier_sector", "buyer_sector", "essential")
 
@@ -74,27 +73,24 @@ class EssentialityMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EssentialityMatrix":
-        p = Path(path)
-        if not p.is_file():
-            raise MissingFile(f"missing essentiality file: {p}")
+        """Read supplier_sector,buyer_sector,essential rows; a faulty file is
+        reported for its first faulty row, and a pair may appear once."""
         pairs: dict[tuple[str, str], bool] = {}
-        with open(p, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or tuple(h.strip() for h in rows[0]) != ESSENTIALITY_COLUMNS:
-            raise SchemaError(
-                f"{p.name} row 1: expected header {','.join(ESSENTIALITY_COLUMNS)!r}"
-            )
-        for row_no, row in enumerate(rows[1:], start=2):
-            if len(row) != 3:
-                raise SchemaError(f"{p.name} row {row_no}: expected 3 cells, got {len(row)}")
-            sup, buy, flag = (c.strip() for c in row)
-            if not sup or not buy:
-                raise SchemaError(f"{p.name} row {row_no}: empty sector code")
-            if flag not in ("0", "1"):
-                raise SchemaError(
-                    f"{p.name} row {row_no}: essential must be 0 or 1, got {flag!r}"
-                )
-            pairs[(sup, buy)] = flag == "1"
+        with _csv_rows(path, ESSENTIALITY_COLUMNS) as rows:
+            for row_no, row in enumerate(rows, start=2):
+                try:
+                    if len(row) != 3:
+                        raise SchemaError(f"expected 3 cells, got {len(row)}")
+                    sup, buy, flag = map(str.strip, row)
+                    if not sup or not buy:
+                        raise SchemaError("empty sector code")
+                    if flag not in ("0", "1"):
+                        raise SchemaError(f"essential must be 0 or 1, got {flag!r}")
+                    if (sup, buy) in pairs:
+                        raise SchemaError(f"repeated sector pair {(sup, buy)}")
+                except SchemaError as fault:
+                    raise _at_row(fault, path, row_no) from None
+                pairs[(sup, buy)] = flag == "1"
         return cls(pairs=pairs, default_rule="non-essential")
 
 

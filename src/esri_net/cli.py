@@ -17,20 +17,16 @@ import csv
 import json
 import logging
 import math
-import os
-import shutil
 import sys
-import tempfile
 from collections import Counter
-from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
 from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
-from .network import NetworkError, ProductionNetwork, load_network, validate, write_network
+from .network import (MissingFile, NetworkError, ProductionNetwork, _atomic_open, _write_csv,
+                      load_network, validate, write_network)
 from .propagation import InvalidScenario, propagate
 from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
@@ -56,30 +52,7 @@ INDEX_COLUMNS = ("firm_id", "esri", "ew_esri", "co2_share_total", "co2_share_ets
 CURVE_COLUMNS = ("rank", "firm_id", "cum_firms", "cum_co2_saved", "cum_job_loss", "benchmark_flag")
 
 
-# -- small atomic-output helpers ------------------------------------------------
-
-
-@contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """A text file that replaces path only once the block completes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
-    """Write the rows, which may be a lazy iterable, straight into the file."""
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# -- small output helpers ----------------------------------------------------------
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -226,10 +199,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.fixture is not None:
-        for name in ("firms.csv", "edges.csv", "essentiality.csv"):
-            shutil.copyfile(Path(args.fixture) / name, out / name)
+        sources = [Path(args.fixture) / name for name in ("firms.csv", "edges.csv", "essentiality.csv")]
+        for src in sources:
+            if not src.is_file():
+                raise MissingFile(f"missing input file: {src}")
+        for src in sources:
+            with open(src, newline="", encoding="utf-8") as fh, _atomic_open(out / src.name) as copy:
+                copy.write(fh.read())
         _write_config(out, "synth", args)
         print(f"copied fixture network from {args.fixture} to {out}")
         return 0
@@ -283,7 +260,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_esri(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    candidates = _candidates(args, net)
+    candidates = list(dict.fromkeys(_candidates(args, net)))  # first occurrences, in order
     bad = [fid for fid in candidates if fid not in net]
     table = _index_table(args, net, pf, [fid for fid in candidates if fid in net])
     if bad:
@@ -470,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="iteration cap (default 1000)")
 
     p_par = argparse.ArgumentParser(add_help=False)
-    p_par.add_argument("--threads", type=int, default=None,
+    p_par.add_argument("--threads", type=_positive_int, default=None,
                        help="worker processes for scenario batches (default: all cores)")
     p_par.add_argument("--total-co2", type=_positive_float, default=None,
                        help="economy-wide CO2 total (default: sum of known firm emissions)")

@@ -1,5 +1,8 @@
 """Firm-level production network: CSV ingestion, strengths, validation.
 
+It holds the package's one file layer: every input CSV is read through
+`_csv_rows` and `_at_row`, and every output through `_atomic_open`.
+
 Each firm attribute is stored once, as a read-only column of a `FirmTable`;
 `firm(id)` and `firms` build `Firm` views on each call (`firms` is O(n)).
 
@@ -26,12 +29,13 @@ import csv
 import gc
 import logging
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -360,7 +364,7 @@ def _merge_parallel(
     return sup[first[order]], buy[first[order]], summed[order]
 
 
-# -- ingestion --------------------------------------------------------------
+# -- ingestion and output -------------------------------------------------------
 
 # Edge rows are read and checked in blocks of this many rows.
 _EDGE_BLOCK_ROWS = 1 << 16
@@ -515,30 +519,45 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
 def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
     """Serialize firms.csv and edges.csv; load(write(net)) == net."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t = net.table
-    with open(out / "firms.csv", "w", newline="", encoding="utf-8") as fh:
+    firm_rows = zip(
+        t.ids,
+        map(t.sector_names.__getitem__, t.sector_code.tolist()),
+        ["" if math.isnan(e) else int(e) for e in t.employees.tolist()],
+        ["" if math.isnan(c) else repr(c) for c in t.co2.tolist()],
+        t.ets.astype(np.int64).tolist(),
+    )
+    _write_csv(out / "firms.csv", FIRM_COLUMNS, firm_rows)
+    edge_rows = zip(
+        map(net.ids.__getitem__, net.supplier_idx.tolist()),
+        map(net.ids.__getitem__, net.buyer_idx.tolist()),
+        map(repr, net.weights.tolist()),
+    )
+    _write_csv(out / "edges.csv", EDGE_COLUMNS, edge_rows)
+
+
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text file that replaces path once the block completes; opened like
+    any file, so the umask sets its mode, and removed on any failure."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable) -> None:
+    """Write the rows, which may be a lazy iterable, straight into the file."""
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(FIRM_COLUMNS)
-        writer.writerows(
-            zip(
-                t.ids,
-                map(t.sector_names.__getitem__, t.sector_code.tolist()),
-                ["" if math.isnan(e) else int(e) for e in t.employees.tolist()],
-                ["" if math.isnan(c) else repr(c) for c in t.co2.tolist()],
-                t.ets.astype(np.int64).tolist(),
-            )
-        )
-    with open(out / "edges.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_COLUMNS)
-        writer.writerows(
-            zip(
-                map(net.ids.__getitem__, net.supplier_idx.tolist()),
-                map(net.ids.__getitem__, net.buyer_idx.tolist()),
-                map(repr, net.weights.tolist()),
-            )
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- strengths and validation ------------------------------------------------

@@ -14,7 +14,6 @@ other stages run.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -23,8 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .calibration import ESSENTIAL_SUPPLIER_LETTERS
-from .network import FirmTable, ProductionNetwork, compute_strengths
+from .calibration import ESSENTIAL_SUPPLIER_LETTERS, ESSENTIALITY_COLUMNS
+from .network import FirmTable, ProductionNetwork, _write_csv, compute_strengths
 
 log = logging.getLogger(__name__)
 
@@ -181,10 +180,7 @@ def essentiality_rows(net: ProductionNetwork) -> list[tuple[str, str, int]]:
 
 
 def write_essentiality(rows: list[tuple[str, str, int]], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("supplier_sector", "buyer_sector", "essential"))
-        writer.writerows(rows)
+    _write_csv(path, ESSENTIALITY_COLUMNS, rows)
 
 
 def top_strength_share(net: ProductionNetwork, fraction: float = 0.01) -> float:

@@ -8,7 +8,9 @@ from esri_net import (
     EssentialityMatrix,
     Firm,
     LevelState,
+    MissingFile,
     ProductionNetwork,
+    SchemaError,
     SupplyEdge,
     calibrate,
     classify_inputs,
@@ -37,6 +39,12 @@ def test_from_csv_schema_errors(tmp_path):
     p.write_text("supplier_sector,buyer_sector,essential\nA,B,2\n")
     with pytest.raises(Exception):
         EssentialityMatrix.from_csv(p)
+    # a repeated pair would silently overwrite the earlier row's flag
+    p.write_text("supplier_sector,buyer_sector,essential\nD35,C25,1\nD35,C25,0\n")
+    with pytest.raises(SchemaError, match=r"^ess\.csv row 3: repeated sector pair"):
+        EssentialityMatrix.from_csv(p)
+    with pytest.raises(MissingFile, match="^missing input file: "):
+        EssentialityMatrix.from_csv(tmp_path / "none.csv")
 
 
 def test_default_matrix_uses_supplier_letter():

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -54,6 +56,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["simulate", "--remove", "d", "--tol", "nan"],
         ["esri", "--total-co2", "nan"],
         ["esri", "--total-co2", "inf"],
+        ["esri", "--threads", "0"],
+        ["esri", "--threads", "-1"],
         ["fit-regimes", "--hi", "5", "--lo", "10"],
     ):
         capsys.readouterr()
@@ -130,6 +134,37 @@ def test_synth_fixture_copy(tmp_path):
     assert run(["synth", "--out", out, "--fixture", FIG1]) == 0
     net = load_network(out / "firms.csv", out / "edges.csv")
     assert net.n_firms == 5
+    for name in ("firms.csv", "edges.csv", "essentiality.csv"):
+        assert (out / name).read_bytes() == (FIG1 / name).read_bytes()
+
+
+def test_synth_fixture_missing_source_exit_3(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    for name in ("firms.csv", "edges.csv"):
+        (src / name).write_bytes((FIG1 / name).read_bytes())
+    out = tmp_path / "x"
+    assert run(["synth", "--out", out, "--fixture", src]) == 3
+    assert f"MissingFile: missing input file: {src / 'essentiality.csv'}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_have_plain_file_modes(tmp_path):
+    # outputs are written atomically, yet get the mode a plain open gives
+    dirs = [tmp_path / d for d in ("idx", "net", "copy")]
+    old = os.umask(0o027)
+    try:
+        assert run(["esri", "--net", FIG1, "--out", dirs[0], "--threads", 1]) == 0
+        assert run(["synth", "--out", dirs[1], "--n-firms", 50, "--n-edges", 200]) == 0
+        assert run(["synth", "--out", dirs[2], "--fixture", FIG1]) == 0
+        for d in dirs:
+            (d / "probe").write_text("")
+    finally:
+        os.umask(old)
+    for d in dirs:
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in d.iterdir()}
+        assert len(modes) > 2 and set(modes.values()) == {modes["probe"]}, modes
+        assert not any(name.startswith(".") for name in modes), modes  # no temporary left
 
 
 def test_synth_infeasible_params_exit_3(tmp_path, capsys):
@@ -217,13 +252,13 @@ def test_esri_table_matches_library(tmp_path, fig1_net, fig1_pf):
 
 def test_esri_candidate_file_and_bad_ids(tmp_path, capsys):
     cands = tmp_path / "cands.txt"
-    cands.write_text("d\nzz\n")
+    cands.write_text("d\nd\nzz\nzz\n")  # each id counts once
     out = tmp_path / "idx"
     code = run(
         ["esri", "--net", FIG1, "--candidates", cands, "--out", out, "--threads", 1]
     )
     assert code == 0
-    assert "failed" in capsys.readouterr().err
+    assert "warning: 1 candidate(s) failed: zz\n" in capsys.readouterr().err
     rows = read_csv(out / "indices.csv")
     assert [r["firm_id"] for r in rows] == ["d"]
 
