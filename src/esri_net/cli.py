@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
 from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
-from .network import (MissingFile, NetworkError, ProductionNetwork, _atomic_open, _write_csv,
-                      load_network, validate, write_network)
+from .network import (MissingFile, NetworkError, ProductionNetwork, _atomic_open, _read_text, _utf8,
+                      _write_csv, load_network, validate, write_network)
 from .propagation import InvalidScenario, propagate
 from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
@@ -112,7 +112,7 @@ def _write_audit(out: Path, pf: ProductionFunctionSet) -> None:
 
 def _read_ids(path: Path) -> list[str]:
     """Non-blank lines of a file with one firm id per line."""
-    ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    ids = [line.strip() for line in _read_text(path).splitlines()]
     return [fid for fid in ids if fid]
 
 
@@ -204,9 +204,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         for src in sources:
             if not src.is_file():
                 raise MissingFile(f"missing input file: {src}")
-        for src in sources:
-            with open(src, newline="", encoding="utf-8") as fh, _atomic_open(out / src.name) as copy:
-                copy.write(fh.read())
+        texts = [_read_text(src) for src in sources]  # every source decodes before out is made
+        for src, text in zip(sources, texts):
+            with _atomic_open(out / src.name) as copy:
+                copy.write(text)
         _write_config(out, "synth", args)
         print(f"copied fixture network from {args.fixture} to {out}")
         return 0
@@ -335,7 +336,7 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
 def _read_ratio_column(path: Path) -> list[float]:
     if not path.is_file():
         raise MissingUpstream(f"indices file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "ratio" not in reader.fieldnames:
             raise MissingUpstream(f"{path.name} has no ratio column")

@@ -13,8 +13,11 @@ per unit of employment put at risk by removing that firm alone.
 
 esri, ew_esri and co2_shares each propagate one scenario for one score.
 batch_indices and the strategy curves go through evaluate_scenarios,
-which scores all three from one propagation per scenario and maps the
-scenarios over a fork-based process pool, results in input order.
+which scores all three from one propagation per scenario, results in
+input order.  With more than one worker it deals the scenarios
+round-robin into one share per forked worker process, and each worker
+steps its share as the columns of one scenario block; with one worker
+each scenario goes through propagate in this process.
 """
 from __future__ import annotations
 
@@ -33,9 +36,12 @@ from .network import ProductionNetwork, compute_strengths
 from .propagation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    EquilibriumState,
     InvalidScenario,
     ShockScenario,
+    _block_width,
     _operators,
+    _propagate_block,
     propagate,
 )
 
@@ -212,6 +218,11 @@ class _Batch:
     weights: _Weights
     tol: float
     max_iter: int
+    scenarios: Sequence[tuple[str, ...]]
+    shares: int
+
+    def result(self, eq: EquilibriumState) -> tuple[float, float, float, int, bool]:
+        return (*self.weights.score(eq.h), eq.iterations, eq.converged)
 
 
 # Scenario evaluation shared by batch_indices and the strategy curves.
@@ -222,8 +233,18 @@ _SHARED: _Batch | None = None
 
 def _eval_shared(removed_ids: tuple[str, ...]) -> tuple[float, float, float, int, bool]:
     b = _SHARED
-    eq = propagate(b.net, b.pf, ShockScenario(removed_ids), tol=b.tol, max_iter=b.max_iter)
-    return (*b.weights.score(eq.h), eq.iterations, eq.converged)
+    return b.result(propagate(b.net, b.pf, ShockScenario(removed_ids), tol=b.tol, max_iter=b.max_iter))
+
+
+def _eval_share(j: int) -> list[tuple[float, float, float, int, bool]]:
+    """Results of share j, every shares-th scenario from the j-th, stepped as one block."""
+    b = _SHARED
+    share = b.scenarios[j :: b.shares]
+    results = [None] * len(share)
+    width = _block_width(b.net.n_firms, len(share))
+    for k, eq in _propagate_block(b.net, b.pf, share, width, tol=b.tol, max_iter=b.max_iter):
+        results[k] = b.result(eq)
+    return results
 
 
 def evaluate_scenarios(
@@ -236,26 +257,36 @@ def evaluate_scenarios(
 ) -> list[tuple[float, float, float, int, bool]]:
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
 
-    Scenarios are independent, so they fan out over a process pool whose
-    map returns results in input order, bit-identical for any worker
-    count.  ew_esri is nan when no firm has an employee count.
+    Scenarios are independent.  With more than one worker they are dealt
+    round-robin into one share per forked worker, which steps its share as
+    the columns of one scenario block (propagation._propagate_block);
+    otherwise each goes through propagate in this process.  Both give every
+    scenario propagate's result bit for bit, so results, in input order,
+    are identical for any worker count.  ew_esri is nan when no firm has an
+    employee count.
     """
     global _SHARED
+    scenarios = list(scenarios)
+    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = min(n_workers, len(scenarios))
     _operators(net, pf)  # compile the sparse operators before forking workers
-    _SHARED = _Batch(net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter)
+    _SHARED = _Batch(
+        net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter,
+        scenarios=scenarios, shares=n_workers,
+    )
     try:
-        n_workers = workers if workers is not None else (os.cpu_count() or 1)
-        n_workers = min(n_workers, len(scenarios))
         if n_workers > 1:
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # platform without fork: stay sequential
                 log.warning("fork unavailable; evaluating scenarios sequentially")
             else:
-                # a scenario costs far more than a task's round trip, so hand
-                # them out one at a time and no worker is left with a long tail
                 with ctx.Pool(processes=n_workers) as pool:
-                    return pool.map(_eval_shared, scenarios, chunksize=1)
+                    shares = pool.map(_eval_share, range(n_workers), chunksize=1)
+                results = [None] * len(scenarios)
+                for j, share in enumerate(shares):
+                    results[j::n_workers] = share
+                return results
         return list(map(_eval_shared, scenarios))
     finally:
         _SHARED = None

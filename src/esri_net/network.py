@@ -1,7 +1,9 @@
 """Firm-level production network: CSV ingestion, strengths, validation.
 
 It holds the package's one file layer: every input CSV is read through
-`_csv_rows` and `_at_row`, and every output through `_atomic_open`.
+`_csv_rows` and `_at_row`, and every output through `_atomic_open`.  Every
+input is decoded under `_utf8`, so a file that is not UTF-8 is a
+`SchemaError` naming its first bad byte.
 
 Each firm attribute is stored once, as a read-only column of a `FirmTable`;
 `firm(id)` and `firms` build `Firm` views on each call (`firms` is O(n)).
@@ -371,12 +373,32 @@ _EDGE_BLOCK_ROWS = 1 << 16
 
 
 @contextmanager
+def _utf8(path: str | Path) -> Iterator[None]:
+    """Report a decode failure while reading path as a SchemaError naming the
+    file and the offset of its first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise SchemaError(f"{Path(path).name} byte {bad.start}: not UTF-8 text") from None
+        raise
+
+
+def _read_text(path: str | Path) -> str:
+    """The whole UTF-8 file, line endings as they are."""
+    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+@contextmanager
 def _csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> Iterator[Iterator[list[str]]]:
     """A csv.reader positioned after the file's header, which must match."""
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"missing input file: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
+    with _utf8(p), open(p, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None or tuple(h.strip() for h in header) != expected_header:

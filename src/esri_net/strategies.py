@@ -119,13 +119,22 @@ def run_strategy(
     results = evaluate_scenarios(net, pf, prefixes, workers=workers, tol=tol, max_iter=max_iter)
 
     points: list[CurvePoint] = []
+    not_converged: list[str] = []
     benchmark: int | None = 0 if target == 0.0 else None
-    for rank, (fid, (_, ew, elim, _, _)) in enumerate(zip(ordering, results), start=1):
+    for rank, (fid, (_, ew, elim, _, converged)) in enumerate(zip(ordering, results), start=1):
+        if not converged:
+            not_converged.append(f"rank {rank} ({fid})")
         saved = elim / total
         points.append(CurvePoint(rank=rank, firm_id=fid, cum_co2_saved=saved, cum_job_loss=ew))
         # float-noise guard on the threshold comparison only
         if benchmark is None and saved >= target - 1e-12:
             benchmark = rank
+    if not_converged:
+        log.warning(
+            "%d curve prefix(es) hit the iteration cap before tol: %s",
+            len(not_converged),
+            ", ".join(not_converged[:5]),
+        )
     if benchmark is None:
         achieved = points[-1].cum_co2_saved if points else 0.0
         log.warning(

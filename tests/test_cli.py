@@ -149,6 +149,18 @@ def test_synth_fixture_missing_source_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_fixture_non_utf8_source_exit_3(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    for name in ("firms.csv", "edges.csv"):
+        (src / name).write_bytes((FIG1 / name).read_bytes())
+    (src / "essentiality.csv").write_bytes(b"supplier_sector,buyer_sector,essential\nC\xc3,G,1\n")
+    out = tmp_path / "x"
+    assert run(["synth", "--out", out, "--fixture", src]) == 3
+    assert "SchemaError: essentiality.csv byte 40: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outputs_have_plain_file_modes(tmp_path):
     # outputs are written atomically, yet get the mode a plain open gives
     dirs = [tmp_path / d for d in ("idx", "net", "copy")]
@@ -263,6 +275,16 @@ def test_esri_candidate_file_and_bad_ids(tmp_path, capsys):
     assert [r["firm_id"] for r in rows] == ["d"]
 
 
+def test_non_utf8_id_files_exit_3(tmp_path, capsys):
+    ids = tmp_path / "ids.txt"
+    ids.write_bytes(b"d\n\xe9\n")
+    out = tmp_path / "o"
+    for command in (["esri", "--candidates", ids], ["simulate", "--remove", ids]):
+        assert run([*command, "--net", FIG1, "--out", out]) == 3
+        assert "SchemaError: ids.txt byte 2: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists(), command
+
+
 # -- strategy -------------------------------------------------------------------------
 
 
@@ -323,6 +345,15 @@ def test_fit_regimes_from_indices_csv(tmp_path, capsys):
     assert payload["lambda2"] == pytest.approx(-0.05, abs=1e-9)
     on_disk = json.loads((out / "regimes.json").read_text())
     assert on_disk == payload
+
+
+def test_fit_regimes_non_utf8_indices_exit_3(tmp_path, capsys):
+    path = tmp_path / "indices.csv"
+    path.write_bytes(b"firm_id,ratio\nf0,2.5\nf\xfe1,3.5\n")
+    out = tmp_path / "fit"
+    assert run(["fit-regimes", "--indices", path, "--out", out]) == 3
+    assert "SchemaError: indices.csv byte 22: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_regimes_requires_a_source(capsys):

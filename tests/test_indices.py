@@ -1,6 +1,7 @@
 """Risk indices: output- and employment-weighted shortfalls, CO2 shares."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from esri_net import (
     propagate,
 )
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
+from esri_net.propagation import DEFAULT_MAX_ITER
 
 import oracle
 from conftest import RandomCase
@@ -234,10 +236,16 @@ def test_nonconverged_rows_keep_values(fig1_net, fig1_pf, caplog):
 
 
 def test_worker_counts_agree_bitwise(fig1_net, fig1_pf):
-    scenarios = [("a",), ("b",), ("c",), ("d",), ("e",), ("a", "b"), ("d", "e")]
-    seq = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1)
-    par = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=3)
-    assert seq == par
+    singles = [("a",), ("b",), ("c",), ("d",), ("e",), ("a", "b"), ("d", "e")]
+    # every subset of the firms, twice: 22 scenarios per worker at 3 workers
+    # overflow a 16-column block, so ended columns refill, and the cap of 2
+    # steps ends some columns capped and others converged
+    subsets = [tuple(c) for k in range(6) for c in itertools.combinations("abcde", k)] * 2
+    for scenarios, max_iter in ((singles, DEFAULT_MAX_ITER), (subsets, 2)):
+        seq = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1, max_iter=max_iter)
+        par = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=3, max_iter=max_iter)
+        assert seq == par
+    assert {converged for *_, converged in seq} == {True, False}
 
 
 def test_batch_worker_counts_agree_bitwise():

@@ -10,6 +10,7 @@ import pytest
 from esri_net import (
     DanglingEdge,
     DuplicateFirmId,
+    EssentialityMatrix,
     Firm,
     FirmTable,
     MissingFile,
@@ -90,6 +91,25 @@ def test_bad_header_rejected(tmp_path):
     (tmp_path / "bade.csv").write_text("src,dst,weight\na,b,1\n")
     with pytest.raises(SchemaError):
         load_network(fp, tmp_path / "bade.csv")
+
+
+def test_non_utf8_input_is_a_schema_error_at_its_byte(tmp_path):
+    fp, ep = write_pair(tmp_path)
+    good = fp.read_bytes()
+    fp.write_bytes(good + b"c\xff,C25,,,0\n")
+    with pytest.raises(SchemaError, match=f"^firms.csv byte {len(good) + 1}: not UTF-8 text$"):
+        load_network(fp, ep)
+    write_pair(tmp_path)
+    # past the first read buffer, so the offset counts from the start of the file
+    rows = b"".join(b"a,b,1\n" for _ in range(3000))
+    head = b"supplier_id,buyer_id,weight\n" + rows
+    ep.write_bytes(head + b"a,\xe9,1\n")
+    with pytest.raises(SchemaError, match=f"^edges.csv byte {len(head) + 2}: not UTF-8 text$"):
+        load_network(fp, ep)
+    matrix = tmp_path / "essentiality.csv"
+    matrix.write_bytes(b"\x80supplier_sector,buyer_sector,essential\n")
+    with pytest.raises(SchemaError, match="^essentiality.csv byte 0: not UTF-8 text$"):
+        EssentialityMatrix.from_csv(matrix)
 
 
 def test_load_pauses_gc_and_restores_it_after_a_fault(tmp_path, monkeypatch):

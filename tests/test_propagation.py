@@ -23,6 +23,7 @@ from esri_net import (
     production_step,
     propagate,
 )
+from esri_net.propagation import _block_width, _propagate_block
 
 import oracle
 from conftest import RandomCase
@@ -466,3 +467,67 @@ def test_equilibrium_lookup_by_id(fig1_net, fig1_pf):
     assert [eq.of(fid) for fid in fig1_net.ids] == eq.h.tolist()
     with pytest.raises(ValueError, match="'zz'"):
         eq.of("zz")
+
+
+# -- scenario blocks ---------------------------------------------------------------
+
+
+def _assert_block_same_as_propagate(net, pf, scenarios, width, **kw):
+    """Every equilibrium of a block run equals propagate's bit for bit;
+    returns the (position, equilibrium) pairs in the order they ended."""
+    ended = list(_propagate_block(net, pf, scenarios, width, **kw))
+    assert sorted(k for k, _ in ended) == list(range(len(scenarios)))
+    for k, eq in ended:
+        ref = propagate(net, pf, scenarios[k], **kw)
+        assert np.array_equal(eq.h_d, ref.h_d)
+        assert np.array_equal(eq.h_u, ref.h_u)
+        assert np.array_equal(eq.h, ref.h)
+        assert eq.iterations == ref.iterations
+        assert eq.max_delta == ref.max_delta
+        assert eq.converged == ref.converged
+    return ended
+
+
+def test_block_same_as_propagate_on_a_generated_network(multi_group_model):
+    net, pf = multi_group_model
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    scenarios = [(fid,) for fid in ets[:10]] + [tuple(ets[:k]) for k in (2, 5, 12)] + [()]
+    # one block: each column ends at its own step, so they end in step order
+    ended = _assert_block_same_as_propagate(net, pf, scenarios, len(scenarios))
+    steps = [eq.iterations for _, eq in ended]
+    assert steps == sorted(steps) and steps[0] == 1 and len(set(steps)) > 5
+    # narrower blocks refill ended columns, then drop them; 1 is the width at 100k firms
+    for width in (1, 4):
+        _assert_block_same_as_propagate(net, pf, scenarios, width)
+    # a cap inside the spread of step counts ends some columns capped
+    ended = _assert_block_same_as_propagate(net, pf, scenarios, 4, max_iter=int(np.median(steps)))
+    assert {eq.converged for _, eq in ended} == {True, False}
+
+
+def test_block_same_as_propagate_on_small_networks(fig1_net, fig1_pf):
+    _assert_block_same_as_propagate(fig1_net, fig1_pf, [(), ("d",), ("a", "b"), tuple("abcde")], 3)
+    _assert_block_same_as_propagate(fig1_net, fig1_pf, [("d",), ("c", "e"), ()], 2, max_iter=1)
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        case = RandomCase(rng)
+        pf = case.pf(float(rng.choice([0.0, 0.5, 1.0])))
+        scenarios = [case.scenario_ids(rng) for _ in range(5)]
+        _assert_block_same_as_propagate(case.net, pf, scenarios, 2)
+        _assert_block_same_as_propagate(case.net, pf, scenarios, 5, tol=1e-13, max_iter=5000)
+
+
+def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
+    with pytest.raises(ValueError):
+        list(_propagate_block(fig1_net, fig1_pf, [("a",)], 1, tol=0.0))
+    with pytest.raises(ValueError):
+        list(_propagate_block(fig1_net, fig1_pf, [("a",)], 1, max_iter=0))
+    with pytest.raises(InvalidScenario):
+        list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 2))
+
+
+def test_block_width_rule():
+    # at most 2 MiB of state, 16 bytes per firm and column, and at most 16 columns
+    assert _block_width(100_000, 24) == 1
+    assert _block_width(10_000, 24) == 13
+    assert _block_width(10_000, 5) == 5
+    assert _block_width(5, 64) == 16

@@ -103,6 +103,16 @@ def test_unreachable_target_logs_and_returns(fig1_net, fig1_pf, caplog):
     assert any("target" in r.getMessage() for r in caplog.records)
 
 
+def test_capped_prefixes_log_their_ranks(fig1_net, fig1_pf, caplog):
+    # one step is too few for every prefix but the full removal
+    with caplog.at_level("WARNING"):
+        run_strategy(fig1_net, fig1_pf, ["d", "a", "c"], target=0.5, workers=1, max_iter=1)
+    capped = [r.getMessage() for r in caplog.records if "iteration cap" in r.getMessage()]
+    assert len(capped) == 1
+    assert "3 curve prefix(es)" in capped[0]
+    assert "rank 1 (d), rank 2 (a), rank 3 (c)" in capped[0]
+
+
 def test_ordering_validation(fig1_net, fig1_pf):
     with pytest.raises(ValueError):
         run_strategy(fig1_net, fig1_pf, ["a", "a"], target=0.1, workers=1)
