@@ -15,9 +15,10 @@ esri, ew_esri and co2_shares each propagate one scenario for one score.
 batch_indices and the strategy curves go through evaluate_scenarios,
 which scores all three from one propagation per scenario, results in
 input order.  With more than one worker it deals the scenarios
-round-robin into one share per forked worker process, and each worker
-steps its share as the columns of one scenario block; with one worker
-each scenario goes through propagate in this process.
+round-robin into shares, more shares than workers when there are
+enough scenarios, and forked worker processes take the shares one at a
+time, each stepping a share as the columns of one scenario block; with
+one worker each scenario goes through propagate in this process.
 """
 from __future__ import annotations
 
@@ -230,6 +231,10 @@ class _Batch:
 # calibrated operators are inherited without serialization.
 _SHARED: _Batch | None = None
 
+# A pool share holds this many blocks' worth of scenarios, so that refills
+# keep its block full for most of its steps.
+_SHARE_BLOCKS = 4
+
 
 def _eval_shared(removed_ids: tuple[str, ...]) -> tuple[float, float, float, int, bool]:
     b = _SHARED
@@ -258,9 +263,12 @@ def evaluate_scenarios(
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
 
     Scenarios are independent.  With more than one worker they are dealt
-    round-robin into one share per forked worker, which steps its share as
-    the columns of one scenario block (propagation._propagate_block);
-    otherwise each goes through propagate in this process.  Both give every
+    round-robin into shares of _SHARE_BLOCKS blocks' worth of scenarios
+    (one scenario where a block is one column), and at least one share per
+    worker.  Forked workers take the shares one at a time, so a worker that
+    ends early takes the next, and step each share as the columns of one
+    scenario block (propagation._propagate_block); otherwise each scenario
+    goes through propagate in this process.  Both give every
     scenario propagate's result bit for bit, so results, in input order,
     are identical for any worker count.  ew_esri is nan when no firm has an
     employee count.
@@ -269,10 +277,14 @@ def evaluate_scenarios(
     scenarios = list(scenarios)
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = min(n_workers, len(scenarios))
+    width = _block_width(net.n_firms, len(scenarios))
+    # a one-column block has no columns to keep full
+    per_share = _SHARE_BLOCKS * width if width > 1 else 1
+    n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
     _operators(net, pf)  # compile the sparse operators before forking workers
     _SHARED = _Batch(
         net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter,
-        scenarios=scenarios, shares=n_workers,
+        scenarios=scenarios, shares=n_shares,
     )
     try:
         if n_workers > 1:
@@ -282,10 +294,10 @@ def evaluate_scenarios(
                 log.warning("fork unavailable; evaluating scenarios sequentially")
             else:
                 with ctx.Pool(processes=n_workers) as pool:
-                    shares = pool.map(_eval_share, range(n_workers), chunksize=1)
+                    shares = pool.map(_eval_share, range(n_shares), chunksize=1)
                 results = [None] * len(scenarios)
                 for j, share in enumerate(shares):
-                    results[j::n_workers] = share
+                    results[j::n_shares] = share
                 return results
         return list(map(_eval_shared, scenarios))
     finally:

@@ -38,10 +38,11 @@ The step takes one state of shape (2n,) or a block of states, the
 columns of a C-order (2n, w) array: the products and the glue act on
 each column alone, and removed firms are clamped through flat positions
 into the output.  _propagate_block steps many scenarios at once this
-way, one per column.  Each column of a product over a block is bitwise
-the product over that column alone, so a block's equilibria are
-propagate's, bit for bit; a block pays off because a sparse product
-over several columns costs less per column than over one.
+way, one per column, and propagate is that loop with one column.  Each
+column of a product over a block is bitwise the product over that
+column alone, so a block's equilibria are the same at any width, bit
+for bit; a wider block pays off because a sparse product over several
+columns costs less per column than over one.
 """
 from __future__ import annotations
 
@@ -345,31 +346,14 @@ def propagate(
     is not reached within max_iter steps, converged is False and the
     last state is returned; levels are still valid bounds.
     """
-    _check_limits(tol, max_iter)
-    ops = _operators(net, pf)
-    removed = ops.positions(_removed_index(net, as_scenario(scenario)))
-    x = np.ones(2 * net.n_firms)
-    x[removed] = 0.0
-    out = np.empty_like(x)
-
-    iterations = 0
-    max_delta = np.inf
-    while iterations < max_iter:
-        ops.step(x, removed, out)
-        iterations += 1
-        # the old state is spent: it takes the step change, then the next step
-        np.subtract(out, x, out=x)
-        max_delta = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
-        x, out = out, x
-        if max_delta <= tol:
-            break
-    return _equilibrium(net, ops, x, iterations, max_delta, tol)
+    return next(_propagate_block(net, pf, [scenario], 1, tol, max_iter))[1]
 
 
 # -- scenario blocks -------------------------------------------------------------
 
-# A block's state (16n bytes per column) stays within _BLOCK_BYTES, so that a
-# 10k-firm block of 13 columns fits in L2; a 100k-firm block is one column.
+# A block's state takes 16n bytes per column, and a column at 100k firms
+# added about 8 MB to a worker's peak memory; capping the state at
+# _BLOCK_BYTES keeps 100k-firm blocks at one column.
 _BLOCK_BYTES = 2 << 20
 _BLOCK_COLUMNS = 16
 # rows that _column_sup folds into one before reducing along the columns
@@ -381,7 +365,7 @@ def _block_width(n_firms: int, n_scenarios: int) -> int:
     return min(_BLOCK_COLUMNS, n_scenarios, max(1, _BLOCK_BYTES // (16 * max(n_firms, 1))))
 
 
-def _column_sup(d: np.ndarray) -> np.ndarray:
+def _column_sup(d: np.ndarray) -> list[float]:
     """Sup norm of each column of a C-order block, computed in place.
 
     A reduction along axis 0 of a narrow block walks a few elements per row;
@@ -389,12 +373,12 @@ def _column_sup(d: np.ndarray) -> np.ndarray:
     runs, several times faster.
     """
     rows, w = d.shape
-    if w == 1:  # one state, reduced as propagate reduces it
-        return np.array([max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))])
+    if w == 1:  # a flat reduction: at 100k firms 0.12 ms a step, folding 0.28 ms
+        return [max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))]
     np.abs(d, out=d)
     whole = rows - rows % _FOLD_ROWS
     folded = d[:whole].reshape(-1, _FOLD_ROWS * w).max(axis=0, initial=0.0)
-    return np.maximum(folded.reshape(_FOLD_ROWS, w).max(axis=0), d[whole:].max(axis=0, initial=0.0))
+    return np.maximum(folded.reshape(_FOLD_ROWS, w).max(axis=0), d[whole:].max(axis=0, initial=0.0)).tolist()
 
 
 def _propagate_block(
@@ -412,44 +396,54 @@ def _propagate_block(
     cap, and takes the next pending scenario; once none is pending, the
     ended columns are dropped.  Each column of a sparse product over a
     block is bit-identical to the product over that column alone, and the
-    rest of a step is elementwise, so every equilibrium is propagate's, bit
-    for bit.
+    rest of a step is elementwise, so every equilibrium is the same at any
+    width, bit for bit.
     """
     _check_limits(tol, max_iter)
     ops = _operators(net, pf)
-    removed = [ops.positions(_removed_index(net, as_scenario(s))).astype(np.intp) for s in scenarios]
-    pending = iter(range(len(removed)))
-    owner = list(islice(pending, width))  # the scenario in each column
+
+    def positions(scenario: ShockScenario | Iterable[str]) -> np.ndarray:
+        return ops.positions(_removed_index(net, as_scenario(scenario))).astype(np.intp)
+
+    pending = enumerate(scenarios)
+    entering = list(islice(pending, width))
+    owner = [k for k, _ in entering]  # the scenario in each column
+    removed = [positions(s) for _, s in entering]  # its removed firms in the state
     x = np.ones((2 * ops.n, len(owner)))
-    for col, k in enumerate(owner):
-        x[removed[k], col] = 0.0
+    for col, r in enumerate(removed):
+        x[r, col] = 0.0
     out = np.empty_like(x)
-    steps = np.zeros(len(owner), dtype=np.int64)
+    step = 0  # steps taken by the block
+    first = [0] * len(owner)  # steps the block had taken when each column's scenario entered
     clamp = None
 
     while owner:
         if clamp is None:
             w = len(owner)
-            clamp = np.concatenate([removed[k] * w + col for col, k in enumerate(owner)])
+            clamp = np.concatenate([r * w + col for col, r in enumerate(removed)])
         ops.step(x, clamp, out)
-        steps += 1
+        step += 1
+        # the old state is spent: it takes the step change, then the next step
         np.subtract(out, x, out=x)
         delta = _column_sup(x)
         x, out = out, x
-        ended = np.flatnonzero((delta <= tol) | (steps >= max_iter)).tolist()
+        ended = [col for col, d in enumerate(delta) if d <= tol or step - first[col] >= max_iter]
         if not ended:
             continue
         clamp = None
         for col in ended:
-            yield owner[col], _equilibrium(net, ops, x[:, col], int(steps[col]), float(delta[col]), tol)
-            k = owner[col] = next(pending, None)
+            yield owner[col], _equilibrium(net, ops, x[:, col], step - first[col], delta[col], tol)
+            k, scenario = next(pending, (None, None))
+            owner[col] = k
             if k is not None:
+                removed[col] = positions(scenario)
                 x[:, col] = 1.0
-                x[removed[k], col] = 0.0
-                steps[col] = 0
+                x[removed[col], col] = 0.0
+                first[col] = step
         keep = [col for col, k in enumerate(owner) if k is not None]
         if len(keep) < len(owner):
             x = np.ascontiguousarray(x[:, keep])
             out = np.empty_like(x)
-            steps = steps[keep]
+            first = [first[col] for col in keep]
             owner = [owner[col] for col in keep]
+            removed = [removed[col] for col in keep]

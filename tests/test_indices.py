@@ -237,11 +237,12 @@ def test_nonconverged_rows_keep_values(fig1_net, fig1_pf, caplog):
 
 def test_worker_counts_agree_bitwise(fig1_net, fig1_pf):
     singles = [("a",), ("b",), ("c",), ("d",), ("e",), ("a", "b"), ("d", "e")]
-    # every subset of the firms, twice: 22 scenarios per worker at 3 workers
+    # every subset of the firms, twice: shares of 22 scenarios at 3 workers
     # overflow a 16-column block, so ended columns refill, and the cap of 2
-    # steps ends some columns capped and others converged
+    # steps ends some columns capped and others converged; eight times over,
+    # they make four shares of 64, more shares than workers
     subsets = [tuple(c) for k in range(6) for c in itertools.combinations("abcde", k)] * 2
-    for scenarios, max_iter in ((singles, DEFAULT_MAX_ITER), (subsets, 2)):
+    for scenarios, max_iter in ((singles, DEFAULT_MAX_ITER), (subsets, 2), (subsets * 4, 2)):
         seq = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1, max_iter=max_iter)
         par = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=3, max_iter=max_iter)
         assert seq == par

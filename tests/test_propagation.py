@@ -523,6 +523,8 @@ def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
         list(_propagate_block(fig1_net, fig1_pf, [("a",)], 1, max_iter=0))
     with pytest.raises(InvalidScenario):
         list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 2))
+    with pytest.raises(InvalidScenario):  # met as it enters a column
+        list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 1))
 
 
 def test_block_width_rule():
