@@ -105,16 +105,20 @@ class InputPartition:
     edge_essential: np.ndarray
 
 
+def _sector_pairs(net: ProductionNetwork) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The sorted distinct (supplier sector, buyer sector) pairs, and each edge's position in them."""
+    names, codes = net.table.sector_names, net.table.sector_code
+    # codes follow the sorted names, so sorted code pairs are sorted name pairs
+    key = codes[net.supplier_idx] * len(names) + codes[net.buyer_idx]
+    keys, edge_pair = np.unique(key, return_inverse=True)
+    return [(names[k // len(names)], names[k % len(names)]) for k in keys.tolist()], edge_pair
+
+
 def classify_inputs(net: ProductionNetwork, matrix: EssentialityMatrix) -> InputPartition:
     """Flag every supply edge as essential or non-essential for its buyer."""
-    names, codes = net.table.sector_names, net.table.sector_code
-    # resolve each distinct sector pair once, then broadcast to edges
-    pair_key = codes[net.supplier_idx] * len(names) + codes[net.buyer_idx]
-    flags = np.zeros(net.n_edges, dtype=bool)
-    for key in np.unique(pair_key).tolist():
-        sup, buy = divmod(key, len(names))
-        flags[pair_key == key] = matrix.is_essential(names[sup], names[buy])
-    return InputPartition(ids=net.ids, edge_essential=flags)
+    pairs, edge_pair = _sector_pairs(net)
+    flags = np.array([matrix.is_essential(*pair) for pair in pairs], dtype=bool)
+    return InputPartition(ids=net.ids, edge_essential=flags[edge_pair])
 
 
 # -- calibrated production functions ------------------------------------------

@@ -24,9 +24,9 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
-from .indices import IndexTable, MissingTotal, NoEmploymentData, batch_indices
-from .network import (MissingFile, NetworkError, ProductionNetwork, _atomic_open, _read_text, _utf8,
-                      _write_csv, load_network, validate, write_network)
+from .indices import IndexTable, MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
+from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _at_row, _atomic_open,
+                      _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import InvalidScenario, propagate
 from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
@@ -204,7 +204,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         for src in sources:
             if not src.is_file():
                 raise MissingFile(f"missing input file: {src}")
-        texts = [_read_text(src) for src in sources]  # every source decodes before out is made
+        # every source decodes before out is made; a byte-order mark is kept, so copies are exact
+        texts = [_read_text(src, "utf-8") for src in sources]
         for src, text in zip(sources, texts):
             with _atomic_open(out / src.name) as copy:
                 copy.write(text)
@@ -334,21 +335,28 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
 
 
 def _read_ratio_column(path: Path) -> list[float]:
+    """The finite positive ratios of an indices file, in descending order.
+    A ratio cell that is not a number is skipped; a row that ends before
+    the ratio column is a fault."""
     if not path.is_file():
         raise MissingUpstream(f"indices file not found: {path}")
-    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "ratio" not in reader.fieldnames:
+    with _open_text(path) as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if "ratio" not in header:
             raise MissingUpstream(f"{path.name} has no ratio column")
+        col = header.index("ratio")
         values = []
-        for row in reader:
-            try:
-                v = float(row["ratio"])
-            except ValueError:
+        for row_no, row in enumerate(rows, start=2):
+            if not row:  # a blank line
                 continue
-            if v > 0.0 and v != float("inf"):
-                values.append(v)
-    return sorted(values, reverse=True)
+            if len(row) <= col:
+                raise _at_row(SchemaError(f"expected {col + 1} or more cells, got {len(row)}"), path, row_no)
+            try:
+                values.append(float(row[col]))
+            except ValueError:
+                pass
+    return _finite_positive_descending(values)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

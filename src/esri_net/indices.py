@@ -200,8 +200,11 @@ class IndexTable:
             raise KeyError(f"no index row for firm {firm_id!r}") from None
 
     def finite_ratios_descending(self) -> list[float]:
-        values = [r.ratio for r in self.rows if math.isfinite(r.ratio) and r.ratio > 0.0]
-        return sorted(values, reverse=True)
+        return _finite_positive_descending(r.ratio for r in self.rows)
+
+
+def _finite_positive_descending(values: Iterable[float]) -> list[float]:
+    return sorted((v for v in values if math.isfinite(v) and v > 0.0), reverse=True)
 
 
 def _ratio(co2_share_total: float, ew: float) -> float:

@@ -2,8 +2,9 @@
 
 It holds the package's one file layer: every input CSV is read through
 `_csv_rows` and `_at_row`, and every output through `_atomic_open`.  Every
-input is decoded under `_utf8`, so a file that is not UTF-8 is a
-`SchemaError` naming its first bad byte.
+input is opened by `_open_text`, so a leading UTF-8 byte-order mark is
+dropped, and a file that is not UTF-8 or that the csv module cannot parse
+is a `SchemaError` naming the file.
 
 Each firm attribute is stored once, as a read-only column of a `FirmTable`;
 `firm(id)` and `firms` build `Firm` views on each call (`firms` is O(n)).
@@ -31,6 +32,7 @@ import csv
 import gc
 import logging
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -181,15 +183,16 @@ class FirmTable:
 
     @classmethod
     def of(cls, firms: Iterable[Firm]) -> "FirmTable":
-        firms = tuple(firms)
+        """Columns from Firm objects, each checked as the firms.csv row it
+        would be written as; a fault is raised with the firm's position."""
         index: dict[str, int] = {}
-        for f in firms:
-            _add_id(index, f.id)
-        return cls.build(
-            index, [f.sector for f in firms],
-            [math.nan if f.employees is None else f.employees for f in firms],
-            [math.nan if f.co2 is None else f.co2 for f in firms], [f.ets_member for f in firms],
-        )
+        columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
+        for k, f in enumerate(firms):
+            try:
+                _append_firm_row(_firm_cells(f), index, columns)
+            except NetworkError as fault:
+                raise type(fault)(f"firm {k}: {fault}") from None
+        return cls.build(index, *columns)
 
     def views(self, rows: slice) -> tuple[Firm, ...]:
         """Firm objects of a slice of the firm order, built from the columns."""
@@ -209,6 +212,17 @@ class FirmTable:
         return (self.ids, self.sector_names) == (other.ids, other.sector_names) and all(
             np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in columns
         )
+
+
+def _firm_cells(f: Firm) -> list[str]:
+    """The firms.csv cells of a firm.  Numbers pass through int or float
+    first: the text of a numpy scalar's repr is not a number."""
+    def number(value: float | None) -> str:
+        if value is None:
+            return ""
+        return repr(int(value) if isinstance(value, numbers.Integral) else float(value))
+
+    return [f.id, f.sector, number(f.employees), number(f.co2), repr(int(f.ets_member))]
 
 
 def _add_id(index: dict[str, int], firm_id: str) -> None:
@@ -373,22 +387,27 @@ _EDGE_BLOCK_ROWS = 1 << 16
 
 
 @contextmanager
-def _utf8(path: str | Path) -> Iterator[None]:
-    """Report a decode failure while reading path as a SchemaError naming the
-    file and the offset of its first byte that is not UTF-8."""
+def _open_text(path: str | Path, encoding: str = "utf-8-sig") -> Iterator[TextIO]:
+    """path opened for reading as UTF-8 text, line endings as they are and a
+    leading byte-order mark dropped.  A byte that is not UTF-8 is reported
+    as a SchemaError naming the file and the byte's offset, and a csv.Error
+    (a field over the csv module's size limit, say) as one naming the file."""
     try:
-        yield
+        with open(path, newline="", encoding=encoding) as fh:
+            yield fh
     except UnicodeDecodeError:
         try:
             Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as bad:
             raise SchemaError(f"{Path(path).name} byte {bad.start}: not UTF-8 text") from None
         raise
+    except csv.Error as bad:
+        raise SchemaError(f"{Path(path).name}: {bad}") from None
 
 
-def _read_text(path: str | Path) -> str:
-    """The whole UTF-8 file, line endings as they are."""
-    with _utf8(path), open(path, newline="", encoding="utf-8") as fh:
+def _read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
+    """The whole file, read through `_open_text`."""
+    with _open_text(path, encoding) as fh:
         return fh.read()
 
 
@@ -398,7 +417,7 @@ def _csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> Iterator[It
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"missing input file: {p}")
-    with _utf8(p), open(p, newline="", encoding="utf-8") as fh:
+    with _open_text(p) as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None or tuple(h.strip() for h in header) != expected_header:

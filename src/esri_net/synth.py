@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .calibration import ESSENTIAL_SUPPLIER_LETTERS, ESSENTIALITY_COLUMNS
+from .calibration import ESSENTIALITY_COLUMNS, EssentialityMatrix, _sector_pairs
 from .network import FirmTable, ProductionNetwork, _write_csv, compute_strengths
 
 log = logging.getLogger(__name__)
@@ -169,14 +169,9 @@ def generate(params: SynthParams) -> ProductionNetwork:
 
 
 def essentiality_rows(net: ProductionNetwork) -> list[tuple[str, str, int]]:
-    """Observed sector pairs classified by the default supplier-letter rule."""
-    names, codes = net.table.sector_names, net.table.sector_code
-    # codes follow the sorted names, so sorted code pairs are sorted name pairs
-    keys = np.unique(codes[net.supplier_idx] * len(names) + codes[net.buyer_idx]).tolist()
-    return [
-        (names[s], names[b], int(names[s][:1] in ESSENTIAL_SUPPLIER_LETTERS))
-        for s, b in (divmod(key, len(names)) for key in keys)
-    ]
+    """Observed sector pairs, sorted, classified by the default supplier-letter rule."""
+    matrix = EssentialityMatrix.default()
+    return [(s, b, int(matrix.is_essential(s, b))) for s, b in _sector_pairs(net)[0]]
 
 
 def write_essentiality(rows: list[tuple[str, str, int]], path: str | Path) -> None:

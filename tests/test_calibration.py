@@ -7,14 +7,17 @@ import pytest
 from esri_net import (
     EssentialityMatrix,
     Firm,
+    FirmTable,
     LevelState,
     MissingFile,
     ProductionNetwork,
     SchemaError,
     SupplyEdge,
+    SynthParams,
     calibrate,
     classify_inputs,
     compute_strengths,
+    generate,
     production_step,
 )
 
@@ -101,6 +104,41 @@ def test_partition_groups_by_supplier_sector():
         ("C10", {"s1": 1.0, "s2": 2.0}),
         ("D35", {"s3": 4.0}),
     ]
+
+
+def _relabelled(n_codes: int) -> ProductionNetwork:
+    """A synthetic network with its firms spread at random over n_codes sector codes."""
+    net = generate(SynthParams(n_firms=3000, n_edges=15000, seed=3))
+    codes = [f"{'ABCDGM'[k % 6]}{k:03d}" for k in range(n_codes)]
+    pick = np.random.default_rng(n_codes).integers(0, n_codes, size=net.n_firms).tolist()
+    t = net.table
+    table = FirmTable.build(t.index, [codes[k] for k in pick], t.employees, t.co2, t.ets)
+    return ProductionNetwork.from_arrays(table, net.supplier_idx, net.buyer_idx, net.weights)
+
+
+def test_partition_matches_a_per_edge_lookup(fig1_net, fig1_matrix):
+    rng = np.random.default_rng(12)
+    cases = [("fig1", fig1_net, fig1_matrix)]
+    for k in range(30):
+        case = RandomCase(rng)
+        cases += [(f"random {k}", case.net, case.matrix),
+                  (f"random {k}, default", case.net, EssentialityMatrix.default())]
+    net = _relabelled(300)
+    assert len(net.table.sector_names) >= 250
+    # exact pairs (two seen on edges), letter pairs and the letter rule all decide
+    names, code = net.table.sector_names, net.table.sector_code
+    seen = [(names[code[net.supplier_idx[e]]], names[code[net.buyer_idx[e]]]) for e in (0, 1)]
+    pairs = {seen[0]: True, seen[1]: False, ("G", "A"): True, ("B", "C"): False}
+    cases.append(("300 codes", net, EssentialityMatrix(pairs=pairs, default_rule="supplier-letter")))
+
+    for name, net, matrix in cases:
+        sector = [net.table.sector_names[c] for c in net.table.sector_code.tolist()]
+        reference = [
+            matrix.is_essential(sector[s], sector[b])
+            for s, b in zip(net.supplier_idx.tolist(), net.buyer_idx.tolist())
+        ]
+        flags = classify_inputs(net, matrix).edge_essential
+        assert flags.dtype == bool and np.array_equal(flags, reference), name
 
 
 # -- calibrated functions ----------------------------------------------------

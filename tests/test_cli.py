@@ -285,6 +285,57 @@ def test_non_utf8_id_files_exit_3(tmp_path, capsys):
         assert not out.exists(), command
 
 
+def test_oversized_csv_field_exit_3(tmp_path, capsys):
+    # an unmatched quote makes the rest of a large file one field, over the csv module's limit
+    tail = "\n".join(f"x{k},G46,1,,0" for k in range(20_000))
+    net = tmp_path / "net"
+    net.mkdir()
+    (net / "firms.csv").write_text((FIG1 / "firms.csv").read_text() + '"' + tail)
+    (net / "edges.csv").write_bytes((FIG1 / "edges.csv").read_bytes())
+    essentiality = tmp_path / "ess.csv"
+    essentiality.write_text("supplier_sector,buyer_sector,essential\n" + '"' + tail)
+    indices = tmp_path / "indices.csv"
+    indices.write_text("firm_id,ratio\n" + '"' + tail)
+    out = tmp_path / "o"
+    for argv, name in (
+        (["validate", "--net", net], "firms.csv"),
+        (["simulate", "--net", FIG1, "--essentiality", essentiality, "--remove", "d", "--out", out],
+         "ess.csv"),
+        (["fit-regimes", "--indices", indices, "--out", out], "indices.csv"),
+    ):
+        assert run(argv) == 3
+        assert f"SchemaError: {name}: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_byte_order_marks_are_dropped(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    net = tmp_path / "net"
+    net.mkdir()
+    for name in ("firms.csv", "edges.csv", "essentiality.csv"):
+        (net / name).write_bytes(bom + (FIG1 / name).read_bytes())
+    ids = tmp_path / "ids.txt"
+    ids.write_bytes(bom + b"d\n")
+    assert run(["esri", "--net", net, "--gamma", 0, "--candidates", ids, "--out", tmp_path / "a",
+                "--threads", 1]) == 0
+    ids.write_bytes(b"d\n")
+    assert run(["esri", "--net", FIG1, "--gamma", 0, "--candidates", ids, "--out", tmp_path / "b",
+                "--threads", 1]) == 0
+    assert (tmp_path / "a" / "indices.csv").read_bytes() == (tmp_path / "b" / "indices.csv").read_bytes()
+
+    ids.write_bytes(bom + b"d\n")
+    assert run(["simulate", "--net", net, "--remove", ids, "--out", tmp_path / "sim"]) == 0
+    assert json.loads((tmp_path / "sim" / "metadata.json").read_text())["removed"] == ["d"]
+    indices = tmp_path / "indices.csv"
+    indices.write_bytes(bom + b"ratio\n" + b"".join(b"%r\n" % r for r in (5e3, 3e3, 2e3, 500.0, 200.0, 50.0)))
+    assert run(["fit-regimes", "--indices", indices]) == 0
+    # the fixture copy keeps the mark: it is byte for byte its source
+    assert run(["synth", "--fixture", net, "--out", tmp_path / "copy"]) == 0
+    for name in ("firms.csv", "edges.csv", "essentiality.csv"):
+        assert (tmp_path / "copy" / name).read_bytes() == (net / name).read_bytes()
+    capsys.readouterr()
+
+
 # -- strategy -------------------------------------------------------------------------
 
 
@@ -354,6 +405,14 @@ def test_fit_regimes_non_utf8_indices_exit_3(tmp_path, capsys):
     assert run(["fit-regimes", "--indices", path, "--out", out]) == 3
     assert "SchemaError: indices.csv byte 22: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_regimes_short_row_exit_3(tmp_path, capsys):
+    path = tmp_path / "indices.csv"
+    path.write_text("firm_id,esri,ew_esri,co2_share_total,co2_share_ets,ratio\n"
+                    "a,0.1,0.1,0.2,0.2,2.0\n\nb,0.1\n")
+    assert run(["fit-regimes", "--indices", path]) == 3
+    assert "SchemaError: indices.csv row 4: expected 6 or more cells, got 2\n" in capsys.readouterr().err
 
 
 def test_fit_regimes_requires_a_source(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -314,6 +315,31 @@ def test_constructor_rejects_bad_edges():
         ProductionNetwork(firms, [SupplyEdge("a", "b", 0.0)])
     with pytest.raises(DuplicateFirmId):
         ProductionNetwork(firms + [Firm("a", "C10")], [])
+
+
+def test_constructor_applies_the_firm_row_rules(tmp_path):
+    good = Firm("g", "C10", 3, 1.5, True)
+    cases = [
+        (Firm("a", "G46", -5), SchemaError, "employees must be non-negative, got -5"),
+        (Firm("a", "G46", 1, -1.0), SchemaError, "co2 must be finite and non-negative, got '-1.0'"),
+        (Firm("a", "G46", 1, np.float64(-1.0)), SchemaError,
+         "co2 must be finite and non-negative, got '-1.0'"),
+        (Firm("a", "G46", 1, np.inf), SchemaError, "co2 must be finite and non-negative, got 'inf'"),
+        (Firm("a", "G46", 1, None, True), SchemaError, "ets_member=1 requires a co2 value"),
+        (Firm("a", ""), SchemaError, "empty sector code"),
+        (Firm("", "G46"), SchemaError, "empty firm id"),
+        (Firm("g", "G46"), DuplicateFirmId, "duplicate firm id 'g'"),
+    ]
+    for firm, exc, message in cases:
+        with pytest.raises(exc, match=f"^firm 1: {re.escape(message)}$"):
+            ProductionNetwork([good, firm], [])
+
+    # numpy scalars are taken as the numbers they hold
+    firms = [good, Firm("a", "G46", np.int64(7), np.float64(0.1), np.True_), Firm("b", "A01", 0, 0.0)]
+    net = ProductionNetwork(firms, [SupplyEdge("a", "b", 1.0)])
+    assert net.firms == (good, Firm("a", "G46", 7, 0.1, True), Firm("b", "A01", 0, 0.0, False))
+    write_network(net, tmp_path)
+    assert load_network(tmp_path / "firms.csv", tmp_path / "edges.csv") == net
 
 
 def test_constructor_goes_through_from_arrays():
