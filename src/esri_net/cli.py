@@ -336,8 +336,9 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
 
 def _read_ratio_column(path: Path) -> list[float]:
     """The finite positive ratios of an indices file, in descending order.
-    A ratio cell that is not a number is skipped; a row that ends before
-    the ratio column is a fault."""
+    A row that ends before the ratio column, or whose ratio cell is not a
+    number, is a fault; inf and nan cells are dropped with the other
+    ratios that are not finite and positive."""
     if not path.is_file():
         raise MissingUpstream(f"indices file not found: {path}")
     with _open_text(path) as fh:
@@ -355,7 +356,8 @@ def _read_ratio_column(path: Path) -> list[float]:
             try:
                 values.append(float(row[col]))
             except ValueError:
-                pass
+                fault = SchemaError(f"ratio must be a number, got {row[col]!r}")
+                raise _at_row(fault, path, row_no) from None
     return _finite_positive_descending(values)
 
 

@@ -11,14 +11,15 @@ shares of the economy-wide and ETS totals (so ets shares over all ETS
 firms sum to one), and ratio = co2_share_total / ew_esri, the CO2 saved
 per unit of employment put at risk by removing that firm alone.
 
-esri, ew_esri and co2_shares each propagate one scenario for one score.
-batch_indices and the strategy curves go through evaluate_scenarios,
-which scores all three from one propagation per scenario, results in
-input order.  With more than one worker it deals the scenarios
-round-robin into shares, more shares than workers when there are
-enough scenarios, and forked worker processes take the shares one at a
-time, each stepping a share as the columns of one scenario block; with
-one worker each scenario goes through propagate in this process.
+Every score goes through evaluate_scenarios, which scores all three from
+one propagation per scenario, results in input order.  With more than
+one worker it deals the scenarios round-robin into shares, more shares
+than workers when there are enough scenarios, and forked worker
+processes take the shares one at a time, each stepping a share as the
+columns of one scenario block; with one worker each scenario goes
+through propagate in this process.  A call keeps what its scenarios
+share in local variables and hands the pool its task through the worker
+initializer, so concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .propagation import (
     _block_width,
     _operators,
     _propagate_block,
+    as_scenario,
     propagate,
 )
 
@@ -133,7 +135,7 @@ def esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Out-strength-share-weighted production loss of the scenario."""
-    return _Weights.of(net).score(propagate(net, pf, scenario, tol=tol, max_iter=max_iter).h)[0]
+    return evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][0]
 
 
 def ew_esri(
@@ -144,10 +146,9 @@ def ew_esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
-    weights = _Weights.of(net)
-    if weights.emp_known is None:
+    if np.isnan(net.employees_array()).all():
         raise NoEmploymentData("no firm has an employee count")
-    return weights.score(propagate(net, pf, scenario, tol=tol, max_iter=max_iter).h)[1]
+    return evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][1]
 
 
 def co2_shares(
@@ -161,8 +162,7 @@ def co2_shares(
     """Eliminated-emission shares of the economy-wide and ETS totals."""
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
-    eq = propagate(net, pf, scenario, tol=tol, max_iter=max_iter)
-    eliminated = _Weights.of(net).score(eq.h)[2]
+    eliminated = evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][2]
     return eliminated / total, eliminated / ets_total if ets_total > 0.0 else 0.0
 
 
@@ -213,52 +213,30 @@ def _ratio(co2_share_total: float, ew: float) -> float:
     return math.inf if co2_share_total > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """What every scenario of one evaluate_scenarios call shares."""
-
-    net: ProductionNetwork
-    pf: ProductionFunctionSet
-    weights: _Weights
-    tol: float
-    max_iter: int
-    scenarios: Sequence[tuple[str, ...]]
-    shares: int
-
-    def result(self, eq: EquilibriumState) -> tuple[float, float, float, int, bool]:
-        return (*self.weights.score(eq.h), eq.iterations, eq.converged)
-
-
-# Scenario evaluation shared by batch_indices and the strategy curves.
-# Worker processes are forked after _SHARED is set, so the network and
-# calibrated operators are inherited without serialization.
-_SHARED: _Batch | None = None
-
 # A pool share holds this many blocks' worth of scenarios, so that refills
 # keep its block full for most of its steps.
 _SHARE_BLOCKS = 4
 
+# The pool's task, share number -> that share's results, set by
+# _init_worker in each worker process alone.  Under fork the initializer's
+# arguments reach the child in its copy of the parent's memory, so the
+# network and compiled operators are inherited without serialization.
+_task = None
 
-def _eval_shared(removed_ids: tuple[str, ...]) -> tuple[float, float, float, int, bool]:
-    b = _SHARED
-    return b.result(propagate(b.net, b.pf, ShockScenario(removed_ids), tol=b.tol, max_iter=b.max_iter))
+
+def _init_worker(task) -> None:
+    global _task
+    _task = task
 
 
-def _eval_share(j: int) -> list[tuple[float, float, float, int, bool]]:
-    """Results of share j, every shares-th scenario from the j-th, stepped as one block."""
-    b = _SHARED
-    share = b.scenarios[j :: b.shares]
-    results = [None] * len(share)
-    width = _block_width(b.net.n_firms, len(share))
-    for k, eq in _propagate_block(b.net, b.pf, share, width, tol=b.tol, max_iter=b.max_iter):
-        results[k] = b.result(eq)
-    return results
+def _run_task(j: int) -> list[tuple[float, float, float, int, bool]]:
+    return _task(j)
 
 
 def evaluate_scenarios(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
-    scenarios: Sequence[tuple[str, ...]],
+    scenarios: Sequence[Iterable[str]],
     workers: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -276,35 +254,42 @@ def evaluate_scenarios(
     are identical for any worker count.  ew_esri is nan when no firm has an
     employee count.
     """
-    global _SHARED
     scenarios = list(scenarios)
+    weights = _Weights.of(net)
+
+    def result(eq: EquilibriumState) -> tuple[float, float, float, int, bool]:
+        return (*weights.score(eq.h), eq.iterations, eq.converged)
+
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = min(n_workers, len(scenarios))
-    width = _block_width(net.n_firms, len(scenarios))
-    # a one-column block has no columns to keep full
-    per_share = _SHARE_BLOCKS * width if width > 1 else 1
-    n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
     _operators(net, pf)  # compile the sparse operators before forking workers
-    _SHARED = _Batch(
-        net=net, pf=pf, weights=_Weights.of(net), tol=tol, max_iter=max_iter,
-        scenarios=scenarios, shares=n_shares,
-    )
-    try:
-        if n_workers > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork: stay sequential
-                log.warning("fork unavailable; evaluating scenarios sequentially")
-            else:
-                with ctx.Pool(processes=n_workers) as pool:
-                    shares = pool.map(_eval_share, range(n_shares), chunksize=1)
-                results = [None] * len(scenarios)
-                for j, share in enumerate(shares):
-                    results[j::n_shares] = share
+    if n_workers > 1:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork: stay sequential
+            log.warning("fork unavailable; evaluating scenarios sequentially")
+        else:
+            width = _block_width(net.n_firms, len(scenarios))
+            # a one-column block has no columns to keep full
+            per_share = _SHARE_BLOCKS * width if width > 1 else 1
+            n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
+
+            def share(j: int) -> list[tuple[float, float, float, int, bool]]:
+                """Results of share j, every n_shares-th scenario from the j-th, stepped as one block."""
+                part = scenarios[j::n_shares]
+                results = [None] * len(part)
+                columns = _block_width(net.n_firms, len(part))
+                for k, eq in _propagate_block(net, pf, part, columns, tol, max_iter):
+                    results[k] = result(eq)
                 return results
-        return list(map(_eval_shared, scenarios))
-    finally:
-        _SHARED = None
+
+            with ctx.Pool(n_workers, initializer=_init_worker, initargs=(share,)) as pool:
+                shares = pool.map(_run_task, range(n_shares), chunksize=1)
+            results = [None] * len(scenarios)
+            for j, part in enumerate(shares):
+                results[j::n_shares] = part
+            return results
+    return [result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
 
 
 def batch_indices(
@@ -324,8 +309,7 @@ def batch_indices(
     unknown = [fid for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
-    employees = net.employees_array()
-    if not (~np.isnan(employees)).any():
+    if np.isnan(net.employees_array()).all():
         raise NoEmploymentData("no firm has an employee count")
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)

@@ -4,7 +4,7 @@ It holds the package's one file layer: every input CSV is read through
 `_csv_rows` and `_at_row`, and every output through `_atomic_open`.  Every
 input is opened by `_open_text`, so a leading UTF-8 byte-order mark is
 dropped, and a file that is not UTF-8 or that the csv module cannot parse
-is a `SchemaError` naming the file.
+is a `SchemaError` naming the file and the byte or row.
 
 Each firm attribute is stored once, as a read-only column of a `FirmTable`;
 `firm(id)` and `firms` build `Firm` views on each call (`firms` is O(n)).
@@ -34,12 +34,12 @@ import logging
 import math
 import numbers
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,7 +189,8 @@ class FirmTable:
         columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
         for k, f in enumerate(firms):
             try:
-                _append_firm_row(_firm_cells(f), index, columns)
+                cells = [f.id, f.sector, _cell(f.employees), _cell(f.co2), repr(int(f.ets_member))]
+                _append_firm_row(cells, index, columns)
             except NetworkError as fault:
                 raise type(fault)(f"firm {k}: {fault}") from None
         return cls.build(index, *columns)
@@ -214,15 +215,15 @@ class FirmTable:
         )
 
 
-def _firm_cells(f: Firm) -> list[str]:
-    """The firms.csv cells of a firm.  Numbers pass through int or float
-    first: the text of a numpy scalar's repr is not a number."""
-    def number(value: float | None) -> str:
-        if value is None:
-            return ""
-        return repr(int(value) if isinstance(value, numbers.Integral) else float(value))
-
-    return [f.id, f.sector, number(f.employees), number(f.co2), repr(int(f.ets_member))]
+def _cell(value: object) -> str:
+    """The CSV cell of an in-memory value: empty for None, a number through
+    int or float first (the repr of a numpy scalar is not a number), and
+    anything else as its text."""
+    if value is None:
+        return ""
+    if isinstance(value, numbers.Integral):
+        return repr(int(value))
+    return repr(float(value)) if isinstance(value, numbers.Real) else str(value)
 
 
 def _add_id(index: dict[str, int], firm_id: str) -> None:
@@ -236,8 +237,9 @@ class ProductionNetwork:
 
     Edges are stored in first-occurrence order of the (supplier, buyer)
     pair with parallel weights summed.  `from_arrays` is the one validating
-    constructor; `ProductionNetwork(firms, edges)` maps the edges' firm ids
-    to indices and goes through it.
+    constructor; `ProductionNetwork(firms, edges)` checks each edge as the
+    edges.csv row it would be written as, maps the firm ids to indices and
+    goes through it.
     """
 
     table: FirmTable
@@ -248,12 +250,9 @@ class ProductionNetwork:
 
     def __init__(self, firms: Iterable[Firm], edges: list[SupplyEdge]):
         table = FirmTable.of(firms)
-        net = ProductionNetwork.from_arrays(
-            table,
-            np.array([table.index.get(e.supplier_id, -1) for e in edges], dtype=np.int64),
-            np.array([table.index.get(e.buyer_id, -1) for e in edges], dtype=np.int64),
-            np.array([e.weight for e in edges], dtype=np.float64),
-        )
+        rows = [[e.supplier_id, e.buyer_id, _cell(e.weight)] for e in edges]
+        arrays = _edge_block(rows, table.index, lambda fault, k: type(fault)(f"edge {k}: {fault}"))
+        net = ProductionNetwork.from_arrays(table, *arrays)
         vars(self).update(vars(net))
 
     @classmethod
@@ -391,7 +390,9 @@ def _open_text(path: str | Path, encoding: str = "utf-8-sig") -> Iterator[TextIO
     """path opened for reading as UTF-8 text, line endings as they are and a
     leading byte-order mark dropped.  A byte that is not UTF-8 is reported
     as a SchemaError naming the file and the byte's offset, and a csv.Error
-    (a field over the csv module's size limit, say) as one naming the file."""
+    (a field over the csv module's size limit, say) as one naming the file
+    and the row where the failing record starts (the header is row 1).
+    Both are worked out by reading the file again, on the error path only."""
     try:
         with open(path, newline="", encoding=encoding) as fh:
             yield fh
@@ -402,7 +403,11 @@ def _open_text(path: str | Path, encoding: str = "utf-8-sig") -> Iterator[TextIO
             raise SchemaError(f"{Path(path).name} byte {bad.start}: not UTF-8 text") from None
         raise
     except csv.Error as bad:
-        raise SchemaError(f"{Path(path).name}: {bad}") from None
+        row_no = 1  # complete records before the failing one, plus one
+        with open(path, newline="", encoding=encoding) as fh, suppress(csv.Error):
+            for row_no, _ in enumerate(csv.reader(fh), start=2):
+                pass
+        raise SchemaError(f"{Path(path).name} row {row_no}: {bad}") from None
 
 
 def _read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
@@ -497,28 +502,33 @@ def _check_edge_row(row: list[str], index: dict[str, int]) -> None:
 
 
 def _edge_block(
-    rows: list[list[str]], index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Supplier, buyer and weight arrays of a block of edge rows, or None
-    if any row in it is faulty."""
-    if set(map(len, rows)) != {len(EDGE_COLUMNS)}:
-        return None
-    # itemgetter columns, not zip(*rows): zip's temporaries trigger costly GC passes
-    try:
-        wgt = np.fromiter(map(float, map(itemgetter(2), rows)), np.float64, len(rows))
-    except ValueError:
-        return None
-    sup, buy = (
-        np.fromiter(
-            map(index.get, map(str.strip, map(itemgetter(col), rows)), repeat(-1)),
-            np.int64,
-            len(rows),
-        )
-        for col in (0, 1)
-    )
-    if _bad_edges(len(index), sup, buy, wgt).any():
-        return None
-    return sup, buy, wgt
+    rows: list[list[str]], index: dict[str, int], fault_at: Callable[[NetworkError, int], NetworkError]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Supplier, buyer and weight arrays of a block of edge rows, checked
+    with array masks.  Only a block that holds a fault is walked row by row;
+    its first fault is raised as fault_at(fault, the row's position)."""
+    if not set(map(len, rows)) - {len(EDGE_COLUMNS)}:
+        try:
+            # itemgetter columns, not zip(*rows): zip's temporaries trigger costly GC passes
+            wgt = np.fromiter(map(float, map(itemgetter(2), rows)), np.float64, len(rows))
+        except ValueError:  # a weight that is not a number
+            pass
+        else:
+            sup, buy = (
+                np.fromiter(
+                    map(index.get, map(str.strip, map(itemgetter(col), rows)), repeat(-1)),
+                    np.int64,
+                    len(rows),
+                )
+                for col in (0, 1)
+            )
+            if not _bad_edges(len(index), sup, buy, wgt).any():
+                return sup, buy, wgt
+    for k, row in enumerate(rows):
+        try:
+            _check_edge_row(row, index)
+        except NetworkError as fault:
+            raise fault_at(fault, k) from None
 
 
 def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetwork:
@@ -544,14 +554,9 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
         with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
             row_no = 2
             while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
-                arrays = _edge_block(block, index)
-                if arrays is None:
-                    for k, row in enumerate(block):
-                        try:
-                            _check_edge_row(row, index)
-                        except NetworkError as fault:
-                            raise _at_row(fault, edge_file, row_no + k) from None
-                blocks.append(arrays)
+                blocks.append(
+                    _edge_block(block, index, lambda fault, k: _at_row(fault, edge_file, row_no + k))
+                )
                 row_no += len(block)
     sup, buy, wgt = (np.concatenate(column) for column in zip(*blocks))
     return ProductionNetwork.from_arrays(table, sup, buy, wgt)

@@ -298,13 +298,13 @@ def test_oversized_csv_field_exit_3(tmp_path, capsys):
     indices.write_text("firm_id,ratio\n" + '"' + tail)
     out = tmp_path / "o"
     for argv, name in (
-        (["validate", "--net", net], "firms.csv"),
+        (["validate", "--net", net], "firms.csv row 7"),
         (["simulate", "--net", FIG1, "--essentiality", essentiality, "--remove", "d", "--out", out],
-         "ess.csv"),
-        (["fit-regimes", "--indices", indices, "--out", out], "indices.csv"),
+         "ess.csv row 2"),
+        (["fit-regimes", "--indices", indices, "--out", out], "indices.csv row 2"),
     ):
         assert run(argv) == 3
-        assert f"SchemaError: {name}: field larger than field limit" in capsys.readouterr().err
+        assert f"SchemaError: {name}: field larger than field limit (131072)\n" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -413,6 +413,20 @@ def test_fit_regimes_short_row_exit_3(tmp_path, capsys):
                     "a,0.1,0.1,0.2,0.2,2.0\n\nb,0.1\n")
     assert run(["fit-regimes", "--indices", path]) == 3
     assert "SchemaError: indices.csv row 4: expected 6 or more cells, got 2\n" in capsys.readouterr().err
+
+
+def test_fit_regimes_bad_ratio_cell_exit_3(tmp_path, capsys):
+    # inf and nan parse and are dropped as ratios that are not finite and
+    # positive; blank lines are skipped; a typo is a fault at its row
+    ratios = ["800.0", "400.0", "inf", "200.0", "", "100.0", "nan", "50.0", "40.0", "35.0", "12.5"]
+    rows = "".join(f"f{k},{v}\n" if v else "\n" for k, v in enumerate(ratios))
+    path = tmp_path / "indices.csv"
+    path.write_text("firm_id,ratio\n" + rows)
+    assert run(["fit-regimes", "--indices", path, "--hi", 150.0, "--lo", 30.0]) == 0
+    assert json.loads(capsys.readouterr().out)["n2"] == 4
+    path.write_text("firm_id,ratio\n" + rows.replace("50.0", "5O.0"))
+    assert run(["fit-regimes", "--indices", path, "--hi", 150.0, "--lo", 30.0]) == 3
+    assert "SchemaError: indices.csv row 9: ratio must be a number, got '5O.0'\n" in capsys.readouterr().err
 
 
 def test_fit_regimes_requires_a_source(capsys):

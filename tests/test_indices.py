@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from esri_net import (
     NoEmploymentData,
     ProductionNetwork,
     SupplyEdge,
+    SynthParams,
     batch_indices,
     calibrate,
     classify_inputs,
     co2_shares,
     esri,
     ew_esri,
+    generate,
     propagate,
 )
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
@@ -259,3 +263,50 @@ def test_batch_worker_counts_agree_bitwise():
     two = batch_indices(case.net, pf, case.ids, workers=2)
     for r1, r2 in zip(one.rows, two.rows):
         assert r1 == r2
+
+
+def synthetic_case(seed: int, n_scenarios: int = 20):
+    net = generate(SynthParams(500, 2500, n_ets=12, seed=seed))
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+    return net, pf, [(fid,) for fid in net.ids[:n_scenarios]]
+
+
+def test_concurrent_single_worker_calls_keep_their_own_state():
+    # two threads, each evaluating its own network in this process at once
+    cases = [synthetic_case(seed) for seed in (1, 2)]
+    expected = [evaluate_scenarios(net, pf, scenarios, workers=1) for net, pf, scenarios in cases]
+    barrier = threading.Barrier(len(cases))
+    outcomes: list[object] = [None] * len(cases)
+
+    def run(k: int) -> None:
+        net, pf, scenarios = cases[k]
+        try:
+            barrier.wait(timeout=60)
+            outcomes[k] = [evaluate_scenarios(net, pf, scenarios, workers=1) for _ in range(3)]
+        except Exception as fault:  # reported below, on the test's own thread
+            outcomes[k] = fault
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that shared state would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(outcomes, expected):
+        assert got == [want] * 3
+
+
+def test_pooled_unknown_id_raises_and_the_next_pool_is_clean(fig1_net, fig1_pf):
+    # pooled calls from several threads at once are not tested: each would
+    # fork a multi-threaded process
+    with pytest.raises(InvalidScenario, match="zz"):
+        evaluate_scenarios(fig1_net, fig1_pf, [("a",), ("zz",), ("d",)], workers=2)
+    net, pf, scenarios = synthetic_case(3, n_scenarios=6)
+    assert evaluate_scenarios(net, pf, scenarios, workers=2) == evaluate_scenarios(
+        net, pf, scenarios, workers=1
+    )

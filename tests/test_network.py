@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from esri_net import (
     Firm,
     FirmTable,
     MissingFile,
+    NetworkError,
     NonPositiveWeight,
     ProductionNetwork,
     SchemaError,
@@ -321,6 +323,7 @@ def test_constructor_applies_the_firm_row_rules(tmp_path):
     good = Firm("g", "C10", 3, 1.5, True)
     cases = [
         (Firm("a", "G46", -5), SchemaError, "employees must be non-negative, got -5"),
+        (Firm("a", "G46", "x"), SchemaError, "employees must be an integer, got 'x'"),
         (Firm("a", "G46", 1, -1.0), SchemaError, "co2 must be finite and non-negative, got '-1.0'"),
         (Firm("a", "G46", 1, np.float64(-1.0)), SchemaError,
          "co2 must be finite and non-negative, got '-1.0'"),
@@ -340,6 +343,33 @@ def test_constructor_applies_the_firm_row_rules(tmp_path):
     assert net.firms == (good, Firm("a", "G46", 7, 0.1, True), Firm("b", "A01", 0, 0.0, False))
     write_network(net, tmp_path)
     assert load_network(tmp_path / "firms.csv", tmp_path / "edges.csv") == net
+
+
+def test_constructor_applies_the_edge_row_rules(tmp_path):
+    # each edge against the edges.csv row with its weight written as this cell
+    firms = [Firm("a", "G46", 1, 2.0, True), Firm("b", "C25")]
+    cases = [
+        (SupplyEdge("a", "z", 1.0), "1.0"),
+        (SupplyEdge("a", "a", -1.0), "-1.0"),
+        (SupplyEdge("z", "z", 1.0), "1.0"),
+        (SupplyEdge(" a", "a ", 1.0), "1.0"),
+        (SupplyEdge("a", "b", math.nan), "nan"),
+        (SupplyEdge("a", "b", None), ""),
+        (SupplyEdge("a", "b", "x"), "x"),
+    ]
+    for edge, weight in cases:
+        fp, ep = write_pair(tmp_path, edges=[GOOD_EDGES[0], [edge.supplier_id, edge.buyer_id, weight]])
+        with pytest.raises(NetworkError) as from_file:
+            load_network(fp, ep)
+        with pytest.raises(NetworkError) as in_memory:
+            ProductionNetwork(firms, [SupplyEdge("a", "b", 3.5), edge])
+        assert type(in_memory.value) is type(from_file.value)
+        tail = str(from_file.value).removeprefix("edges.csv row 3: ")
+        assert str(in_memory.value) == f"edge 1: {tail}"
+
+    # ids are stripped as file cells are
+    net = ProductionNetwork(firms, [SupplyEdge(" a", "b ", 2.0)])
+    assert net.edges() == [SupplyEdge("a", "b", 2.0)]
 
 
 def test_constructor_goes_through_from_arrays():
