@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import ProductionNetwork, SchemaError, _at_row, _csv_rows, compute_strengths
+from .network import ProductionNetwork, SchemaError, _csv_rows, _numbered, compute_strengths
 
 ESSENTIALITY_COLUMNS = ("supplier_sector", "buyer_sector", "essential")
 
@@ -76,6 +76,7 @@ class EssentialityMatrix:
         """Read supplier_sector,buyer_sector,essential rows; a faulty file is
         reported for its first faulty row, and a pair may appear once."""
         pairs: dict[tuple[str, str], bool] = {}
+        at_row = _numbered(f"{Path(path).name} row")
         with _csv_rows(path, ESSENTIALITY_COLUMNS) as rows:
             for row_no, row in enumerate(rows, start=2):
                 try:
@@ -89,7 +90,7 @@ class EssentialityMatrix:
                     if (sup, buy) in pairs:
                         raise SchemaError(f"repeated sector pair {(sup, buy)}")
                 except SchemaError as fault:
-                    raise _at_row(fault, path, row_no) from None
+                    raise at_row(fault, row_no) from None
                 pairs[(sup, buy)] = flag == "1"
         return cls(pairs=pairs, default_rule="non-essential")
 

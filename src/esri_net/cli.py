@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
 from .indices import IndexTable, MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
-from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _at_row, _atomic_open,
+from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import InvalidScenario, propagate
 from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
@@ -348,16 +348,17 @@ def _read_ratio_column(path: Path) -> list[float]:
             raise MissingUpstream(f"{path.name} has no ratio column")
         col = header.index("ratio")
         values = []
+        at_row = _numbered(f"{path.name} row")
         for row_no, row in enumerate(rows, start=2):
             if not row:  # a blank line
                 continue
             if len(row) <= col:
-                raise _at_row(SchemaError(f"expected {col + 1} or more cells, got {len(row)}"), path, row_no)
+                raise at_row(SchemaError(f"expected {col + 1} or more cells, got {len(row)}"), row_no)
             try:
                 values.append(float(row[col]))
             except ValueError:
                 fault = SchemaError(f"ratio must be a number, got {row[col]!r}")
-                raise _at_row(fault, path, row_no) from None
+                raise at_row(fault, row_no) from None
     return _finite_positive_descending(values)
 
 

@@ -1,7 +1,8 @@
 """Firm-level production network: CSV ingestion, strengths, validation.
 
-It holds the package's one file layer: every input CSV is read through
-`_csv_rows` and `_at_row`, and every output through `_atomic_open`.  Every
+It holds the package's one file layer: every input CSV with a fixed
+header is read through `_csv_rows`, a faulty CSV row is named by
+`_numbered`, and every output is written through `_atomic_open`.  Every
 input is opened by `_open_text`, so a leading UTF-8 byte-order mark is
 dropped, and a file that is not UTF-8 or that the csv module cannot parse
 is a `SchemaError` naming the file and the byte or row.
@@ -25,6 +26,11 @@ order; within an edge row the checks run as cell count, weight parse,
 weight value, self-loop, supplier id, buyer id, and within a firm row as
 cell count, id, sector, ets_member, co2, employees (at most 2**53, so the
 float64 column is exact), then the id's uniqueness.
+
+The edge rule order holds for all three constructors.  The in-memory
+one judges each `Firm` and `SupplyEdge` field as the CSV cell it would
+be written as (`_cell`) and feeds those rows through the same row loops
+as `load_network`; `from_arrays` applies the edge rules to index arrays.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Container, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,7 +178,7 @@ class FirmTable:
     def build(cls, index: dict[str, int], sectors: Sequence[str], employees: Sequence[float],
               co2: Sequence[float], ets: Sequence[bool]) -> "FirmTable":
         """Columns from per-firm values; index maps each firm id, in firm
-        order, to its position, and holds no repeat (see `_add_id`)."""
+        order, to its position, and holds no repeat (see `_append_firm_row`)."""
         names = sorted(set(sectors))
         code_of = {name: k for k, name in enumerate(names)}
         codes = np.fromiter(map(code_of.__getitem__, sectors), np.int64, len(sectors))
@@ -183,17 +189,10 @@ class FirmTable:
 
     @classmethod
     def of(cls, firms: Iterable[Firm]) -> "FirmTable":
-        """Columns from Firm objects, each checked as the firms.csv row it
-        would be written as; a fault is raised with the firm's position."""
-        index: dict[str, int] = {}
-        columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
-        for k, f in enumerate(firms):
-            try:
-                cells = [f.id, f.sector, _cell(f.employees), _cell(f.co2), repr(int(f.ets_member))]
-                _append_firm_row(cells, index, columns)
-            except NetworkError as fault:
-                raise type(fault)(f"firm {k}: {fault}") from None
-        return cls.build(index, *columns)
+        """Columns from Firm objects, each judged as the firms.csv row it
+        would be written as; a fault is named with the firm's position."""
+        rows = ([_cell(getattr(f, column)) for column in FIRM_COLUMNS] for f in firms)
+        return _firm_table(rows, _numbered("firm"))
 
     def views(self, rows: slice) -> tuple[Firm, ...]:
         """Firm objects of a slice of the firm order, built from the columns."""
@@ -216,30 +215,34 @@ class FirmTable:
 
 
 def _cell(value: object) -> str:
-    """The CSV cell of an in-memory value: empty for None, a number through
-    int or float first (the repr of a numpy scalar is not a number), and
-    anything else as its text."""
+    """The CSV cell of an in-memory value: empty for None, a bool or any
+    other number through int or float first (the repr of a numpy scalar is
+    not a number), and anything else as its text."""
     if value is None:
         return ""
-    if isinstance(value, numbers.Integral):
+    if isinstance(value, (numbers.Integral, np.bool_)):
         return repr(int(value))
     return repr(float(value)) if isinstance(value, numbers.Real) else str(value)
 
 
-def _add_id(index: dict[str, int], firm_id: str) -> None:
-    if firm_id in index:
-        raise DuplicateFirmId(f"duplicate firm id {firm_id!r}")
-    index[firm_id] = len(index)
+# how a row loop names the fault of the row at position k: fault_at(fault, k)
+_FaultAt = Callable[[NetworkError, int], NetworkError]
+
+
+def _numbered(label: str, first: int = 0) -> _FaultAt:
+    """The fault_at that puts `label k+first` in front of the fault; a
+    file's rows are numbered from 2, after the header."""
+    return lambda fault, k: type(fault)(f"{label} {k + first}: {fault}")
 
 
 class ProductionNetwork:
     """Immutable directed weighted network over the firms of `table`.
 
     Edges are stored in first-occurrence order of the (supplier, buyer)
-    pair with parallel weights summed.  `from_arrays` is the one validating
-    constructor; `ProductionNetwork(firms, edges)` checks each edge as the
-    edges.csv row it would be written as, maps the firm ids to indices and
-    goes through it.
+    pair with parallel weights summed.  `ProductionNetwork(firms, edges)`
+    judges each object as the CSV row it would be written as, through the
+    same row checks as `load_network`; `from_arrays` checks index arrays.
+    All three end in `_assemble`, the one step that merges and stores edges.
     """
 
     table: FirmTable
@@ -248,12 +251,10 @@ class ProductionNetwork:
     buyer_idx: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, firms: Iterable[Firm], edges: list[SupplyEdge]):
+    def __init__(self, firms: Iterable[Firm], edges: Iterable[SupplyEdge]):
         table = FirmTable.of(firms)
-        rows = [[e.supplier_id, e.buyer_id, _cell(e.weight)] for e in edges]
-        arrays = _edge_block(rows, table.index, lambda fault, k: type(fault)(f"edge {k}: {fault}"))
-        net = ProductionNetwork.from_arrays(table, *arrays)
-        vars(self).update(vars(net))
+        rows = ([_cell(getattr(e, column)) for column in EDGE_COLUMNS] for e in edges)
+        self._assemble(table, *_edge_arrays(rows, table.index, _numbered("edge")))
 
     @classmethod
     def from_arrays(
@@ -263,22 +264,36 @@ class ProductionNetwork:
 
         Every index must name a firm, no edge may be a self-loop, and every
         weight must be finite and positive; the first offending edge is
-        reported.  Parallel edges are merged.
+        reported with the first rule it breaks, in the edge-row order.
+        Parallel edges are merged.
         """
-        net = cls.__new__(cls)
-        net.table = table
-        net.ids = table.ids
+        n = len(table.ids)
         sup = np.asarray(supplier_idx, dtype=np.int64)
         buy = np.asarray(buyer_idx, dtype=np.int64)
         wgt = np.asarray(weights, dtype=np.float64)
-        bad = _bad_edges(len(net.ids), sup, buy, wgt)
-        if bad.any():
-            raise _edge_fault(net.ids, int(np.argmax(bad)), sup, buy, wgt)
-        net.supplier_idx, net.buyer_idx, net.weights = _merge_parallel(
-            len(net.ids), sup, buy, wgt
-        )
-        net._strengths = None
-        return net
+        if (bad := _bad_edges(n, sup, buy, wgt)).any():
+            k = int(np.argmax(bad))
+            fault = _edge_fault(int(sup[k]), int(buy[k]), float(wgt[k]), range(n), "index")
+            raise _numbered("edge")(fault, k)
+        return cls.__new__(cls)._assemble(table, sup, buy, wgt)
+
+    def _assemble(
+        self, table: FirmTable, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray
+    ) -> "ProductionNetwork":
+        """Store the table and edge arrays that passed `_bad_edges`; every
+        constructor ends here.  Edges of one (supplier, buyer) pair are
+        merged in first-occurrence order, and `np.bincount` adds their
+        weights in input order, bit-identical to summing them one by one."""
+        n = len(table.ids)
+        keys, first, inverse = np.unique(sup * n + buy, return_index=True, return_inverse=True)
+        if keys.size < sup.size:
+            log.warning("summed %d parallel edge(s) during ingestion", sup.size - keys.size)
+            order = first.argsort()  # distinct pairs in first-occurrence order
+            sup, buy = sup[first[order]], buy[first[order]]
+            wgt = np.bincount(inverse, weights=wgt, minlength=keys.size)[order]
+        self.table, self.ids, self._strengths = table, table.ids, None
+        self.supplier_idx, self.buyer_idx, self.weights = sup, buy, wgt
+        return self
 
     # -- identity ----------------------------------------------------------
 
@@ -349,36 +364,6 @@ def _bad_edges(n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray) -> np.
     )
 
 
-def _edge_fault(
-    ids: tuple[str, ...], k: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray
-) -> NetworkError:
-    s, b, w = int(sup[k]), int(buy[k]), float(wgt[k])
-    if not 0 <= s < len(ids):
-        return DanglingEdge(f"edge {k} references unknown supplier index {s}")
-    if not 0 <= b < len(ids):
-        return DanglingEdge(f"edge {k} references unknown buyer index {b}")
-    if s == b:
-        return SelfLoop(f"edge {k}: self-loop on firm {ids[s]!r}")
-    return NonPositiveWeight(f"edge {k} {ids[s]!r}->{ids[b]!r} has weight {w!r}")
-
-
-def _merge_parallel(
-    n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge edges of the same (supplier, buyer) pair, in first-occurrence order.
-
-    `np.bincount` adds each pair's weights in input order, so a merged
-    weight is bit-identical to summing the edges one by one as they come.
-    """
-    keys, first, inverse = np.unique(sup * n + buy, return_index=True, return_inverse=True)
-    if keys.size == sup.size:
-        return sup, buy, wgt
-    log.warning("summed %d parallel edge(s) during ingestion", sup.size - keys.size)
-    order = np.argsort(first)  # distinct pairs in first-occurrence order
-    summed = np.bincount(inverse, weights=wgt, minlength=keys.size)
-    return sup[first[order]], buy[first[order]], summed[order]
-
-
 # -- ingestion and output -------------------------------------------------------
 
 # Edge rows are read and checked in blocks of this many rows.
@@ -444,11 +429,6 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _at_row(fault: NetworkError, path: str | Path, row_no: int) -> NetworkError:
-    """The same fault, with the file name and row number in front."""
-    return type(fault)(f"{Path(path).name} row {row_no}: {fault}")
-
-
 def _append_firm_row(row: list[str], index: dict[str, int], columns: tuple[list, ...]) -> None:
     """Check one firm row and append it to the index and the sector,
     employees, co2 and ets columns; the checks run in this order."""
@@ -477,32 +457,49 @@ def _append_firm_row(row: list[str], index: dict[str, int], columns: tuple[list,
         raise SchemaError(f"employees must be non-negative, got {count}")
     if count > 2**53:  # the float64 column holds every count up to 2**53 exactly
         raise SchemaError(f"employees must be at most 2**53, got {count}")
-    _add_id(index, firm_id)
+    if firm_id in index:
+        raise DuplicateFirmId(f"duplicate firm id {firm_id!r}")
+    index[firm_id] = len(index)
     for column, value in zip(columns, (sector, count, co2_value, ets == "1")):
         column.append(value)
 
 
-def _check_edge_row(row: list[str], index: dict[str, int]) -> None:
-    """Raise the first fault of one edge row; the checks run in this order."""
-    if len(row) != len(EDGE_COLUMNS):
-        raise SchemaError(f"expected {len(EDGE_COLUMNS)} cells, got {len(row)}")
-    supplier, buyer, weight = map(str.strip, row)
+def _firm_table(rows: Iterable[list[str]], fault_at: _FaultAt) -> FirmTable:
+    """The firm table of firm rows, each checked by `_append_firm_row`; the
+    first fault is raised as fault_at(fault, the row's position)."""
+    index: dict[str, int] = {}
+    columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
+    for k, row in enumerate(rows):
+        try:
+            _append_firm_row(row, index, columns)
+        except NetworkError as fault:
+            raise fault_at(fault, k) from None
+    return FirmTable.build(index, *columns)
+
+
+def _edge_fault(
+    supplier: object, buyer: object, weight: object, known: Container, end: str = "id"
+) -> NetworkError | None:
+    """The first edge rule that an edge breaks, or None; the rules run in
+    this order.  The ends are ids (or indices, named by end) and known holds
+    the valid ones; weight is a cell or a float."""
     try:
-        weight_value = float(weight)
+        value = float(weight)
     except ValueError:
-        raise SchemaError(f"weight must be a number, got {weight!r}") from None
-    if not math.isfinite(weight_value) or weight_value <= 0.0:
-        raise NonPositiveWeight(f"weight must be positive, got {weight!r}")
+        return SchemaError(f"weight must be a number, got {weight!r}")
+    if not math.isfinite(value) or value <= 0.0:
+        return NonPositiveWeight(f"weight must be positive, got {weight!r}")
     if supplier == buyer:
-        raise SelfLoop(f"self-loop on firm {supplier!r}")
-    if supplier not in index:
-        raise DanglingEdge(f"unknown supplier id {supplier!r}")
-    if buyer not in index:
-        raise DanglingEdge(f"unknown buyer id {buyer!r}")
+        return SelfLoop(f"self-loop on firm {supplier!r}")
+    if supplier not in known:
+        return DanglingEdge(f"unknown supplier {end} {supplier!r}")
+    if buyer not in known:
+        return DanglingEdge(f"unknown buyer {end} {buyer!r}")
+    return None
 
 
 def _edge_block(
-    rows: list[list[str]], index: dict[str, int], fault_at: Callable[[NetworkError, int], NetworkError]
+    rows: list[list[str]], index: dict[str, int], fault_at: _FaultAt
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Supplier, buyer and weight arrays of a block of edge rows, checked
     with array masks.  Only a block that holds a fault is walked row by row;
@@ -525,10 +522,23 @@ def _edge_block(
             if not _bad_edges(len(index), sup, buy, wgt).any():
                 return sup, buy, wgt
     for k, row in enumerate(rows):
-        try:
-            _check_edge_row(row, index)
-        except NetworkError as fault:
-            raise fault_at(fault, k) from None
+        if len(row) != len(EDGE_COLUMNS):
+            raise fault_at(SchemaError(f"expected {len(EDGE_COLUMNS)} cells, got {len(row)}"), k)
+        if fault := _edge_fault(*map(str.strip, row), index):
+            raise fault_at(fault, k)
+
+
+def _edge_arrays(
+    rows: Iterator[list[str]], index: dict[str, int], fault_at: _FaultAt
+) -> tuple[np.ndarray, ...]:
+    """Supplier, buyer and weight arrays of edge rows, read and checked
+    `_EDGE_BLOCK_ROWS` rows at a time by `_edge_block`."""
+    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
+    start = 0
+    while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
+        blocks.append(_edge_block(block, index, lambda fault, k: fault_at(fault, start + k)))
+        start += len(block)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetwork:
@@ -540,26 +550,11 @@ def load_network(firm_file: str | Path, edge_file: str | Path) -> ProductionNetw
     """
     # the per-row lists csv.reader yields would trigger cyclic GC passes
     with _gc_paused():
-        index: dict[str, int] = {}
-        columns: tuple[list, ...] = ([], [], [], [])  # sector, employees, co2, ets
         with _csv_rows(firm_file, FIRM_COLUMNS) as rows:
-            for row_no, row in enumerate(rows, start=2):
-                try:
-                    _append_firm_row(row, index, columns)
-                except NetworkError as fault:
-                    raise _at_row(fault, firm_file, row_no) from None
-        table = FirmTable.build(index, *columns)
-
-        blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))]
+            table = _firm_table(rows, _numbered(f"{Path(firm_file).name} row", 2))
         with _csv_rows(edge_file, EDGE_COLUMNS) as rows:
-            row_no = 2
-            while block := list(islice(rows, _EDGE_BLOCK_ROWS)):
-                blocks.append(
-                    _edge_block(block, index, lambda fault, k: _at_row(fault, edge_file, row_no + k))
-                )
-                row_no += len(block)
-    sup, buy, wgt = (np.concatenate(column) for column in zip(*blocks))
-    return ProductionNetwork.from_arrays(table, sup, buy, wgt)
+            arrays = _edge_arrays(rows, table.index, _numbered(f"{Path(edge_file).name} row", 2))
+    return ProductionNetwork.__new__(ProductionNetwork)._assemble(table, *arrays)
 
 
 def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:

@@ -332,15 +332,33 @@ def test_constructor_applies_the_firm_row_rules(tmp_path):
         (Firm("a", ""), SchemaError, "empty sector code"),
         (Firm("", "G46"), SchemaError, "empty firm id"),
         (Firm("g", "G46"), DuplicateFirmId, "duplicate firm id 'g'"),
+        # each field is judged as the cell it would be written as
+        (Firm("a", "G46", None, 1.0, "x"), SchemaError, "ets_member must be 0 or 1, got 'x'"),
+        (Firm("a", "G46", ets_member=None), SchemaError, "ets_member must be 0 or 1, got ''"),
+        (Firm("a", "G46", ets_member=2), SchemaError, "ets_member must be 0 or 1, got '2'"),
+        (Firm("a", None), SchemaError, "empty sector code"),
+        (Firm(None, "G46"), SchemaError, "empty firm id"),
+        (Firm(1, "G46", 1.5), SchemaError, "employees must be an integer, got '1.5'"),
+        (Firm(np.int64(1), 7, None, "x"), SchemaError, "co2 must be a number, got 'x'"),
     ]
     for firm, exc, message in cases:
         with pytest.raises(exc, match=f"^firm 1: {re.escape(message)}$"):
             ProductionNetwork([good, firm], [])
 
-    # numpy scalars are taken as the numbers they hold
-    firms = [good, Firm("a", "G46", np.int64(7), np.float64(0.1), np.True_), Firm("b", "A01", 0, 0.0)]
-    net = ProductionNetwork(firms, [SupplyEdge("a", "b", 1.0)])
-    assert net.firms == (good, Firm("a", "G46", 7, 0.1, True), Firm("b", "A01", 0, 0.0, False))
+    # numpy scalars are taken as the numbers they hold, bools as 1 and 0
+    firms = [
+        good,
+        Firm("a", "G46", np.int64(7), np.float64(0.1), np.True_),
+        Firm("b", "A01", 0, 0.0),
+        Firm(1, "C25", np.int32(4), None, np.False_),
+    ]
+    net = ProductionNetwork(firms, [SupplyEdge("a", "b", 1.0), SupplyEdge(1, "a", np.float32(0.5))])
+    assert net.firms == (
+        good,
+        Firm("a", "G46", 7, 0.1, True),
+        Firm("b", "A01", 0, 0.0, False),
+        Firm("1", "C25", 4, None, False),
+    )
     write_network(net, tmp_path)
     assert load_network(tmp_path / "firms.csv", tmp_path / "edges.csv") == net
 
@@ -356,6 +374,10 @@ def test_constructor_applies_the_edge_row_rules(tmp_path):
         (SupplyEdge("a", "b", math.nan), "nan"),
         (SupplyEdge("a", "b", None), ""),
         (SupplyEdge("a", "b", "x"), "x"),
+        (SupplyEdge(1, "b", 1.0), "1.0"),
+        (SupplyEdge("a", np.int64(2), 1.0), "1.0"),
+        (SupplyEdge("a", "b", np.False_), "0"),
+        (SupplyEdge("a", "b", -3), "-3"),
     ]
     for edge, weight in cases:
         fp, ep = write_pair(tmp_path, edges=[GOOD_EDGES[0], [edge.supplier_id, edge.buyer_id, weight]])
@@ -372,7 +394,7 @@ def test_constructor_applies_the_edge_row_rules(tmp_path):
     assert net.edges() == [SupplyEdge("a", "b", 2.0)]
 
 
-def test_constructor_goes_through_from_arrays():
+def test_constructor_matches_from_arrays():
     firms = [Firm("a", "G46"), Firm("b", "C25"), Firm("c", "C10")]
     edges = [SupplyEdge("a", "b", 1.0), SupplyEdge("c", "a", 2.0), SupplyEdge("a", "b", 2.5)]
     net = ProductionNetwork(firms, edges)
@@ -386,6 +408,29 @@ def test_constructor_goes_through_from_arrays():
         ProductionNetwork.from_arrays(table, np.array([0]), np.array([3]), np.array([1.0]))
     with pytest.raises(NonPositiveWeight):
         ProductionNetwork.from_arrays(table, np.array([0]), np.array([1]), np.array([np.inf]))
+
+
+def test_every_constructor_applies_the_edge_rules_in_one_order(tmp_path):
+    # weight, self-loop, supplier, buyer: each edge breaks two rules, or one
+    firms = [Firm("a", "G46"), Firm("b", "C25")]
+    table = FirmTable.of(firms)
+    position = {"a": 0, "b": 1, "z": 2}  # 'z' names no firm, nor does index 2
+    cases = [
+        ("z", "b", 0.0, NonPositiveWeight),
+        ("a", "a", -1.0, NonPositiveWeight),
+        ("z", "z", 1.0, SelfLoop),
+        ("z", "z", math.inf, NonPositiveWeight),
+        ("z", "a", 1.0, DanglingEdge),
+        ("a", "z", 1.0, DanglingEdge),
+    ]
+    for supplier, buyer, weight, exc in cases:
+        fp, ep = write_pair(tmp_path, edges=[[supplier, buyer, weight]])
+        with pytest.raises(exc):
+            load_network(fp, ep)
+        with pytest.raises(exc):
+            ProductionNetwork(firms, [SupplyEdge(supplier, buyer, weight)])
+        with pytest.raises(exc, match="^edge 0: "):
+            ProductionNetwork.from_arrays(table, [position[supplier]], [position[buyer]], [weight])
 
 
 # -- round trip ------------------------------------------------------------
