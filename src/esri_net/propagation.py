@@ -207,6 +207,9 @@ class _Operators:
             shape=(self.n_sellers, n),
         )
         self.U = _renamed(U, self.up)
+        # bytes one scenario-block column holds while it steps: two stacked
+        # states and the outputs of D and U
+        self.column_bytes = 8 * (4 * n + self.D.shape[0] + self.n_sellers)
 
     def positions(self, firms: np.ndarray) -> np.ndarray:
         """Positions of the given firms in the stacked state, both channels."""
@@ -351,34 +354,46 @@ def propagate(
 
 # -- scenario blocks -------------------------------------------------------------
 
-# A block's state takes 16n bytes per column, and a column at 100k firms
-# added about 8 MB to a worker's peak memory; capping the state at
-# _BLOCK_BYTES keeps 100k-firm blocks at one column.
-_BLOCK_BYTES = 2 << 20
+# One block column holds two stacked states (32n bytes) and the D and U
+# product outputs (8 bytes per row of each).  At 100k firms that is 5.1 MB,
+# and a forked worker's peak memory read 113.8, 127.4, 134.9, 158.2 and
+# 181.1 MB at widths 1, 4, 6, 8 and 12.  _BLOCK_BYTES bounds what a
+# block's columns hold together, six columns at 100k firms; _BLOCK_COLUMNS
+# caps smaller networks, 16 columns at 10k firms.
+_BLOCK_BYTES = 32 << 20
 _BLOCK_COLUMNS = 16
 # rows that _column_sup folds into one before reducing along the columns
 _FOLD_ROWS = 64
 
 
-def _block_width(n_firms: int, n_scenarios: int) -> int:
-    """Columns of the block that steps n_scenarios scenarios on n_firms firms."""
-    return min(_BLOCK_COLUMNS, n_scenarios, max(1, _BLOCK_BYTES // (16 * max(n_firms, 1))))
+def _block_width(column_bytes: int, n_scenarios: int) -> int:
+    """Columns of the block that steps n_scenarios scenarios, one column
+    holding column_bytes (_Operators.column_bytes)."""
+    return min(_BLOCK_COLUMNS, n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
 
 
 def _column_sup(d: np.ndarray) -> list[float]:
-    """Sup norm of each column of a C-order block, computed in place.
+    """Sup norm of each column of a C-order block of step changes.
 
-    A reduction along axis 0 of a narrow block walks a few elements per row;
-    folding _FOLD_ROWS rows into one long row first reduces over contiguous
-    runs, several times faster.
+    Levels descend pointwise, exactly in floating point too (every part of
+    a step is monotone and rounding is monotone), so a step change is never
+    positive and its sup norm is 0 minus its minimum; 0.0 - min also turns
+    a minimum of -0.0 into 0.0.  A reduction along axis 0 of a narrow block
+    walks a few elements per row; folding _FOLD_ROWS rows into one long row
+    first reduces over contiguous runs, several times faster.
     """
     rows, w = d.shape
     if w == 1:  # a flat reduction: at 100k firms 0.12 ms a step, folding 0.28 ms
-        return [max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))]
-    np.abs(d, out=d)
+        return [0.0 - float(d.min(initial=0.0))]
     whole = rows - rows % _FOLD_ROWS
-    folded = d[:whole].reshape(-1, _FOLD_ROWS * w).max(axis=0, initial=0.0)
-    return np.maximum(folded.reshape(_FOLD_ROWS, w).max(axis=0), d[whole:].max(axis=0, initial=0.0)).tolist()
+    folded = d[:whole].reshape(-1, _FOLD_ROWS * w).min(axis=0, initial=0.0)
+    low = np.minimum(folded.reshape(_FOLD_ROWS, w).min(axis=0), d[whole:].min(axis=0, initial=0.0))
+    return (0.0 - low).tolist()
+
+
+def _first_columns(a: np.ndarray, columns: int) -> np.ndarray:
+    """A C-order (rows, columns) view on the start of block a's buffer."""
+    return a.reshape(-1)[: a.shape[0] * columns].reshape(a.shape[0], columns)
 
 
 def _propagate_block(
@@ -394,12 +409,14 @@ def _propagate_block(
 
     A column ends at the step where its own change reaches tol, or at the
     cap, and takes the next pending scenario; once none is pending, the
-    ended columns are dropped.  Each column of a sparse product over a
-    block is bit-identical to the product over that column alone, and the
-    rest of a step is elementwise, so every equilibrium is the same at any
-    width, bit for bit.
+    ended columns are dropped, the kept ones moving into the spent buffer.
+    Each column of a sparse product over a block is bit-identical to the
+    product over that column alone, and the rest of a step is elementwise,
+    so every equilibrium is the same at any width, bit for bit.
     """
     _check_limits(tol, max_iter)
+    if width < 1:
+        raise ValueError(f"block width must be at least 1, got {width}")
     ops = _operators(net, pf)
 
     def positions(scenario: ShockScenario | Iterable[str]) -> np.ndarray:
@@ -442,8 +459,9 @@ def _propagate_block(
                 first[col] = step
         keep = [col for col, k in enumerate(owner) if k is not None]
         if len(keep) < len(owner):
-            x = np.ascontiguousarray(x[:, keep])
-            out = np.empty_like(x)
+            spent = _first_columns(out, len(keep))
+            out = _first_columns(x, len(keep))
+            x = np.take(x, keep, axis=1, out=spent)
             first = [first[col] for col in keep]
             owner = [owner[col] for col in keep]
             removed = [removed[col] for col in keep]

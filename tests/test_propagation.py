@@ -1,6 +1,8 @@
 """Shock propagation: bundled example exactness, invariants, oracle checks."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,7 +25,7 @@ from esri_net import (
     production_step,
     propagate,
 )
-from esri_net.propagation import _block_width, _propagate_block
+from esri_net.propagation import _block_width, _operators, _propagate_block
 
 import oracle
 from conftest import RandomCase
@@ -496,8 +498,8 @@ def test_block_same_as_propagate_on_a_generated_network(multi_group_model):
     ended = _assert_block_same_as_propagate(net, pf, scenarios, len(scenarios))
     steps = [eq.iterations for _, eq in ended]
     assert steps == sorted(steps) and steps[0] == 1 and len(set(steps)) > 5
-    # narrower blocks refill ended columns, then drop them; 1 is the width at 100k firms
-    for width in (1, 4):
+    # narrower blocks refill ended columns, then drop them; 6 is the width at 100k firms
+    for width in (1, 4, 6):
         _assert_block_same_as_propagate(net, pf, scenarios, width)
     # a cap inside the spread of step counts ends some columns capped
     ended = _assert_block_same_as_propagate(net, pf, scenarios, 4, max_iter=int(np.median(steps)))
@@ -525,11 +527,65 @@ def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
         list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 2))
     with pytest.raises(InvalidScenario):  # met as it enters a column
         list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 1))
+    for width in (0, -3):
+        with pytest.raises(ValueError, match=f"got {width}$"):
+            list(_propagate_block(fig1_net, fig1_pf, [("a",)], width))
 
 
-def test_block_width_rule():
-    # at most 2 MiB of state, 16 bytes per firm and column, and at most 16 columns
-    assert _block_width(100_000, 24) == 1
-    assert _block_width(10_000, 24) == 13
-    assert _block_width(10_000, 5) == 5
-    assert _block_width(5, 64) == 16
+def _column_bytes(n_firms, d_rows, u_rows):
+    # two stacked states and the D and U product outputs, 8 bytes a value
+    return 8 * (4 * n_firms + d_rows + u_rows)
+
+
+def test_block_width_rule(multi_group_model):
+    net, pf = multi_group_model
+    ops = _operators(net, pf)
+    assert ops.column_bytes == _column_bytes(net.n_firms, ops.D.shape[0], ops.U.shape[0])
+    # at most 32 MiB of columns and at most 16 columns; the D and U rows are
+    # those of the generated 100k-firm (seed 7) and 10k-firm (seed 5) networks
+    at_100k = _column_bytes(100_000, 149_958, 92_473)
+    at_10k = _column_bytes(10_000, 15_169, 9_242)
+    assert _block_width(at_100k, 24) == 6
+    assert _block_width(at_100k, 4) == 4
+    assert _block_width(at_10k, 24) == 16
+    assert _block_width(at_10k, 5) == 5
+    assert _block_width(_column_bytes(5, 5, 4), 64) == 16
+    assert _block_width(_column_bytes(1_000_000, 2_000_000, 1_000_000), 24) == 1
+
+
+def _assert_descends(net, pf, scenarios, steps):
+    """Steps the scenarios as one block and checks new <= old, element by
+    element, at every step: the step change is never positive."""
+    ops = _operators(net, pf)
+    w = len(scenarios)
+    x = np.ones((2 * ops.n, w))
+    clamp = []
+    for col, ids in enumerate(scenarios):
+        r = ops.positions(np.array([net.index_of(fid) for fid in ids], dtype=np.int64)).astype(np.intp)
+        x[r, col] = 0.0
+        clamp.append(r * w + col)
+    clamp = np.concatenate(clamp)
+    out = np.empty_like(x)
+    for _ in range(steps):
+        ops.step(x, clamp, out)
+        assert (out <= x).all()
+        x, out = out, x
+
+
+def test_levels_descend_exactly(multi_group_model):
+    rng = np.random.default_rng(51)
+    for _ in range(8):
+        case = RandomCase(rng)
+        for gamma in (0.0, 0.3, 0.5, 1.0):
+            scenarios = [case.scenario_ids(rng) for _ in range(3)] + [()]
+            _assert_descends(case.net, case.pf(gamma), scenarios, 30)
+    net, _ = multi_group_model
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    cls = classify_inputs(net, EssentialityMatrix.default())
+    for gamma in (0.0, 0.3, 0.5, 1.0):
+        pf = calibrate(net, cls, gamma=gamma)
+        _assert_descends(net, pf, [(fid,) for fid in ets[:5]] + [tuple(ets[:12])], 100)
+        # a scenario that moves nothing ends after one step with a change of +0.0
+        for width in (1, 2):
+            _, eq = next(_propagate_block(net, pf, [(), (ets[0],)], width))
+            assert eq.iterations == 1 and math.copysign(1.0, eq.max_delta) == 1.0
