@@ -28,7 +28,7 @@ from .indices import IndexTable, MissingTotal, NoEmploymentData, _finite_positiv
 from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import InvalidScenario, propagate
-from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristic
+from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristics
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
 
 log = logging.getLogger(__name__)
@@ -160,15 +160,15 @@ def _index_table(
     )
 
 
-def _curve(
+def _curves(
     args: argparse.Namespace,
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
     table: IndexTable,
-    heuristic: Heuristic,
-) -> StrategyCurve:
-    return run_heuristic(
-        net, pf, table, heuristic, args.target,
+    heuristics: list[Heuristic],
+) -> list[StrategyCurve]:
+    return run_heuristics(
+        net, pf, table, heuristics, args.target,
         workers=args.threads, total_co2=args.total_co2,
         tol=args.tol, max_iter=args.max_iter,
     )
@@ -288,7 +288,7 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     pf = _calibrated(args, net)
     heuristic = Heuristic(args.heuristic)
     table = _index_table(args, net, pf, _curve_candidates(args, net))
-    curve = _curve(args, net, pf, table, heuristic)
+    [curve] = _curves(args, net, pf, table, [heuristic])
     summary = curve.summary()
     out = Path(args.out)
     _write_curve(out / "curve.csv", curve)
@@ -382,12 +382,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
 
     by_emissions = sorted(table.rows, key=lambda r: (-r.co2_share_total, r.firm_id))
-    for heuristic in Heuristic:
-        curve = _curve(args, net, pf, table, heuristic)
-        _write_curve(out / f"strategy_curve_{heuristic.value}.csv", curve)
+    for curve in _curves(args, net, pf, table, list(Heuristic)):
+        _write_curve(out / f"strategy_curve_{curve.heuristic.value}.csv", curve)
         removed_at_benchmark = {p.firm_id for p in curve.points[: curve.benchmark_rank or 0]}
         _write_csv(
-            out / f"co2_rank_{heuristic.value}.csv",
+            out / f"co2_rank_{curve.heuristic.value}.csv",
             ("rank", "firm_id", "co2_share_total", "removed"),
             [
                 (k + 1, r.firm_id, _fmt(r.co2_share_total), int(r.firm_id in removed_at_benchmark))

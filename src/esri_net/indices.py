@@ -9,7 +9,11 @@ include the partial reductions of firms that are hit but not removed.
 Per-firm index rows report the candidate's own direct emissions as
 shares of the economy-wide and ETS totals (so ets shares over all ETS
 firms sum to one), and ratio = co2_share_total / ew_esri, the CO2 saved
-per unit of employment put at risk by removing that firm alone.
+per unit of employment put at risk by removing that firm alone.  An
+index table also keeps each candidate's full evaluate_scenarios result
+(eliminated CO2 in absolute terms) with the calibration, tol and max_iter
+it was solved under, so strategy curves can reuse those single-firm
+solves (IndexTable.singles).
 
 Every score goes through evaluate_scenarios, which scores all three from
 one propagation per scenario, results in input order.  With more than
@@ -18,10 +22,11 @@ than workers when there are enough scenarios, and forked worker
 processes take the shares one at a time, each stepping a share as the
 columns of one scenario block.  The block's width is set by the memory
 one column takes while it steps (propagation._block_width): six columns
-at 100k firms, 16 at 10k.  With one worker each scenario goes through
-propagate in this process.  A call keeps what its scenarios share in
-local variables and hands the pool its task through the worker
-initializer, so concurrent one-worker calls are safe.
+at 100k firms, 16 at 10k.  The pool never has more workers than the
+host has cores, nor more than there are scenarios.  With one worker
+each scenario goes through propagate in this process.  A call keeps
+what its scenarios share in local variables and hands the pool its task
+through the worker initializer, so concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import logging
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -185,11 +190,22 @@ class IndexRow:
     error = None
 
 
+# One scenario's evaluate_scenarios result:
+# (esri, ew_esri, eliminated_co2, iterations, converged).
+ScenarioResult = tuple[float, float, float, int, bool]
+
+
 @dataclass(frozen=True)
 class IndexTable:
     rows: tuple[IndexRow, ...]
     total_co2: float
     ets_total_co2: float
+    # Each row's evaluate_scenarios result and what it was solved under;
+    # left out of equality and repr, which compare and show the rows only.
+    results: tuple[ScenarioResult, ...] = field(default=(), compare=False, repr=False)
+    pf: ProductionFunctionSet | None = field(default=None, compare=False, repr=False)
+    tol: float | None = field(default=None, compare=False, repr=False)
+    max_iter: int | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _by_id(self) -> dict[str, IndexRow]:
@@ -203,6 +219,13 @@ class IndexTable:
 
     def finite_ratios_descending(self) -> list[float]:
         return _finite_positive_descending(r.ratio for r in self.rows)
+
+    def singles(self, pf: ProductionFunctionSet, tol: float, max_iter: int) -> dict[str, ScenarioResult]:
+        """Each candidate's single-firm result, when the table was solved with
+        this very pf object, tol and max_iter; otherwise none."""
+        if self.pf is not pf or self.tol != tol or self.max_iter != max_iter:
+            return {}
+        return {r.firm_id: res for r, res in zip(self.rows, self.results)}
 
 
 def _finite_positive_descending(values: Iterable[float]) -> list[float]:
@@ -231,7 +254,7 @@ def _init_worker(task) -> None:
     _task = task
 
 
-def _run_task(j: int) -> list[tuple[float, float, float, int, bool]]:
+def _run_task(j: int) -> list[ScenarioResult]:
     return _task(j)
 
 
@@ -242,7 +265,7 @@ def evaluate_scenarios(
     workers: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[float, float, float, int, bool]]:
+) -> list[ScenarioResult]:
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
 
     Scenarios are independent.  With more than one worker they are dealt
@@ -251,18 +274,23 @@ def evaluate_scenarios(
     worker.  Forked workers take the shares one at a time, so a worker that
     ends early takes the next, and step each share as the columns of one
     scenario block (propagation._propagate_block); otherwise each scenario
-    goes through propagate in this process.  Both give every
-    scenario propagate's result bit for bit, so results, in input order,
-    are identical for any worker count.  ew_esri is nan when no firm has an
-    employee count.
+    goes through propagate in this process.  Both give every scenario
+    propagate's result bit for bit, so results, in input order, are
+    identical for any worker count.  The pool has at most as many workers
+    as the host has cores (os.cpu_count()); a larger request is logged at
+    INFO and capped.  ew_esri is nan when no firm has an employee count.
     """
     scenarios = list(scenarios)
     weights = _Weights.of(net)
 
-    def result(eq: EquilibriumState) -> tuple[float, float, float, int, bool]:
+    def result(eq: EquilibriumState) -> ScenarioResult:
         return (*weights.score(eq.h), eq.iterations, eq.converged)
 
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    n_workers = workers if workers is not None else cores
+    if n_workers > cores:
+        log.info("%d workers asked for; the pool is capped at the %d core(s)", n_workers, cores)
+        n_workers = cores
     n_workers = min(n_workers, len(scenarios))
     ops = _operators(net, pf)  # compile the sparse operators before forking workers
     if n_workers > 1:
@@ -276,7 +304,7 @@ def evaluate_scenarios(
             per_share = _SHARE_BLOCKS * width if width > 1 else 1
             n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
 
-            def share(j: int) -> list[tuple[float, float, float, int, bool]]:
+            def share(j: int) -> list[ScenarioResult]:
                 """Results of share j, every n_shares-th scenario from the j-th, stepped as one block."""
                 part = scenarios[j::n_shares]
                 results = [None] * len(part)
@@ -343,4 +371,7 @@ def batch_indices(
             len(not_converged),
             ", ".join(not_converged[:5]),
         )
-    return IndexTable(rows=tuple(rows), total_co2=total, ets_total_co2=ets_total)
+    return IndexTable(
+        rows=tuple(rows), total_co2=total, ets_total_co2=ets_total,
+        results=tuple(results), pf=pf, tol=tol, max_iter=max_iter,
+    )

@@ -42,7 +42,7 @@ import numbers
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence, TextIO
@@ -366,7 +366,7 @@ def _bad_edges(n: int, sup: np.ndarray, buy: np.ndarray, wgt: np.ndarray) -> np.
 
 # -- ingestion and output -------------------------------------------------------
 
-# Edge rows are read and checked in blocks of this many rows.
+# Edge rows are read and checked, and written, in blocks of this many rows.
 _EDGE_BLOCK_ROWS = 1 << 16
 
 
@@ -569,10 +569,15 @@ def write_network(net: ProductionNetwork, out_dir: str | Path) -> None:
         t.ets.astype(np.int64).tolist(),
     )
     _write_csv(out / "firms.csv", FIRM_COLUMNS, firm_rows)
-    edge_rows = zip(
-        map(net.ids.__getitem__, net.supplier_idx.tolist()),
-        map(net.ids.__getitem__, net.buyer_idx.tolist()),
-        map(repr, net.weights.tolist()),
+    # one block of edges at a time as Python lists, not every edge at once
+    blocks = (slice(lo, lo + _EDGE_BLOCK_ROWS) for lo in range(0, net.n_edges, _EDGE_BLOCK_ROWS))
+    edge_rows = chain.from_iterable(
+        zip(
+            map(net.ids.__getitem__, net.supplier_idx[b].tolist()),
+            map(net.ids.__getitem__, net.buyer_idx[b].tolist()),
+            map(repr, net.weights[b].tolist()),
+        )
+        for b in blocks
     )
     _write_csv(out / "edges.csv", EDGE_COLUMNS, edge_rows)
 

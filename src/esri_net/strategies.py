@@ -2,7 +2,7 @@
 
 A strategy fixes a static removal ordering over the candidate firms from
 their single-firm index table, then removes growing prefixes of that
-ordering.  Each prefix is propagated from scratch, so the curve rows are
+ordering.  Each prefix is its own removal scenario, so the curve rows are
 true equilibria of the joint removal, not sums of single-firm effects;
 cumulative CO2 savings count eliminated emissions including the partial
 reductions of firms that are hit but not removed.  The benchmark is the
@@ -11,6 +11,11 @@ first prefix whose cumulative savings reach the target share.
 run_heuristic is the path from an index table to a curve: rank_firms
 orders the candidates and run_strategy evaluates the prefixes of a
 (possibly caller-supplied) ordering through indices.evaluate_scenarios.
+run_heuristics builds several heuristics' curves from one such call over
+the distinct prefixes of all their orderings, keyed by removed set.  Both
+take a one-firm prefix from the index table when the table was solved
+with the same calibration object, tol and max_iter (IndexTable.singles),
+since a scenario's result is the same bits in any block, share or call.
 """
 from __future__ import annotations
 
@@ -18,12 +23,12 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .calibration import ProductionFunctionSet
-from .indices import IndexTable, evaluate_scenarios, resolve_total_co2
+from .indices import IndexTable, ScenarioResult, evaluate_scenarios, resolve_total_co2
 from .network import ProductionNetwork
 from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -92,36 +97,20 @@ class StrategyCurve:
         }
 
 
-def run_strategy(
-    net: ProductionNetwork,
-    pf: ProductionFunctionSet,
+def _curve(
     ordering: Sequence[str],
+    solved: dict[frozenset[str], ScenarioResult],
     target: float,
-    workers: int | None = None,
-    total_co2: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    heuristic: Heuristic | None = None,
+    total: float,
+    heuristic: Heuristic | None,
 ) -> StrategyCurve:
-    """Cumulative savings/job-loss curve along a removal ordering.
-
-    target is a share of the economy-wide CO2 total.  If even the full
-    ordering stays below it, the curve is returned with benchmark_rank
-    None (logged, not raised).
-    """
-    if not target >= 0.0:
-        raise ValueError(f"target must be non-negative, got {target}")
-    if len(set(ordering)) != len(ordering):
-        raise ValueError("removal ordering contains duplicate firm ids")
-    total = resolve_total_co2(net, total_co2)
-
-    prefixes = [tuple(ordering[: k + 1]) for k in range(len(ordering))]
-    results = evaluate_scenarios(net, pf, prefixes, workers=workers, tol=tol, max_iter=max_iter)
-
+    """The curve along the ordering from its prefixes' results; logs capped
+    prefixes and an unreachable target."""
     points: list[CurvePoint] = []
     not_converged: list[str] = []
     benchmark: int | None = 0 if target == 0.0 else None
-    for rank, (fid, (_, ew, elim, _, converged)) in enumerate(zip(ordering, results), start=1):
+    for rank, fid in enumerate(ordering, start=1):
+        _, ew, elim, _, converged = solved[frozenset(ordering[:rank])]
         if not converged:
             not_converged.append(f"rank {rank} ({fid})")
         saved = elim / total
@@ -148,6 +137,73 @@ def run_strategy(
     )
 
 
+def _curves(
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    orderings: list[Sequence[str]],
+    heuristics: list[Heuristic | None],
+    target: float,
+    table: IndexTable | None,
+    workers: int | None,
+    total_co2: float | None,
+    tol: float,
+    max_iter: int,
+) -> list[StrategyCurve]:
+    """The curve along each ordering, every curve from one batch of prefixes.
+
+    Prefixes are keyed by their removed set, so one that several orderings
+    share is solved once.  A one-firm prefix is taken from the table when
+    the table was solved with this pf, tol and max_iter (IndexTable.singles).
+    The other distinct prefixes go through one evaluate_scenarios call, and
+    none is made when nothing is left to solve.
+    """
+    if not target >= 0.0:
+        raise ValueError(f"target must be non-negative, got {target}")
+    if any(len(set(ordering)) != len(ordering) for ordering in orderings):
+        raise ValueError("removal ordering contains duplicate firm ids")
+    total = resolve_total_co2(net, total_co2)
+    singles = table.singles(pf, tol, max_iter) if table is not None else {}
+    solved = {frozenset((fid,)): result for fid, result in singles.items()}
+    missing: dict[frozenset[str], tuple[str, ...]] = {}
+    for ordering in orderings:
+        for k in range(1, len(ordering) + 1):
+            key = frozenset(ordering[:k])
+            if key not in solved and key not in missing:
+                missing[key] = tuple(ordering[:k])
+    if missing:
+        results = evaluate_scenarios(
+            net, pf, list(missing.values()), workers=workers, tol=tol, max_iter=max_iter
+        )
+        solved.update(zip(missing, results))
+    return [_curve(o, solved, target, total, h) for o, h in zip(orderings, heuristics)]
+
+
+def run_strategy(
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    ordering: Sequence[str],
+    target: float,
+    workers: int | None = None,
+    total_co2: float | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    heuristic: Heuristic | None = None,
+    table: IndexTable | None = None,
+) -> StrategyCurve:
+    """Cumulative savings/job-loss curve along a removal ordering.
+
+    target is a share of the economy-wide CO2 total.  If even the full
+    ordering stays below it, the curve is returned with benchmark_rank
+    None (logged, not raised).  A one-firm prefix reuses the result in
+    table, if given, when the table was solved with this pf, tol and
+    max_iter; the curve is the same either way.
+    """
+    [curve] = _curves(
+        net, pf, [ordering], [heuristic], target, table, workers, total_co2, tol, max_iter
+    )
+    return curve
+
+
 def run_heuristic(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
@@ -164,7 +220,32 @@ def run_heuristic(
     return run_strategy(
         net, pf, ordering, target,
         workers=workers, total_co2=total_co2, tol=tol, max_iter=max_iter,
-        heuristic=heuristic,
+        heuristic=heuristic, table=table,
+    )
+
+
+def run_heuristics(
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    table: IndexTable,
+    heuristics: Iterable[Heuristic],
+    target: float,
+    workers: int | None = None,
+    total_co2: float | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[StrategyCurve]:
+    """run_heuristic's curve for each heuristic, in the order given.
+
+    The distinct prefixes of all the orderings are evaluated together in
+    one evaluate_scenarios call, one-firm prefixes coming from the table
+    as in run_strategy, so a prefix that several curves share is solved
+    once.  Each curve equals run_heuristic's.
+    """
+    heuristics = list(heuristics)
+    orderings = [rank_firms(table, h) for h in heuristics]
+    return _curves(
+        net, pf, orderings, heuristics, target, table, workers, total_co2, tol, max_iter
     )
 
 

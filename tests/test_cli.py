@@ -15,11 +15,15 @@ from esri_net import (
     Firm,
     ProductionNetwork,
     SupplyEdge,
+    SynthParams,
     batch_indices,
     calibrate,
     classify_inputs,
+    essentiality_rows,
+    generate,
     load_network,
     propagate,
+    write_essentiality,
     write_network,
 )
 from esri_net.cli import main
@@ -478,6 +482,30 @@ def test_report_writes_all_series(tmp_path):
     # emitters strategy hits 50% with d alone
     emit = read_csv(out / "co2_rank_emitters.csv")
     assert emit[0]["removed"] == "1"
+
+
+def test_curve_files_are_the_same_bytes_at_any_thread_count(tmp_path):
+    net = generate(SynthParams(300, 1500, n_ets=10, seed=6))
+    net_dir = tmp_path / "net"
+    write_network(net, net_dir)
+    write_essentiality(essentiality_rows(net), net_dir / "essentiality.csv")
+    written = {}
+    for threads in (1, 2):
+        report = tmp_path / f"report{threads}"
+        assert run(["report", "--net", net_dir, "--target", 0.3, "--out", report,
+                    "--threads", threads]) == 0
+        files = {f.name: f.read_bytes() for f in report.iterdir() if f.name != "config.json"}
+        for h in ("emitters", "risk", "ratio"):
+            strategy = tmp_path / f"strategy{threads}{h}"
+            assert run(["strategy", "--net", net_dir, "--heuristic", h, "--target", 0.3,
+                        "--out", strategy, "--threads", threads]) == 0
+            curve = (strategy / "curve.csv").read_bytes()
+            assert curve == files[f"strategy_curve_{h}.csv"]  # the same curve on both paths
+            files[f"{h}/curve.csv"] = curve
+            files[f"{h}/summary.json"] = (strategy / "summary.json").read_bytes()
+        written[threads] = files
+    assert len(written[1]) == 13
+    assert written[1] == written[2]
 
 
 def test_report_without_candidates_exit_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from esri_net import (
     generate,
     propagate,
 )
+from esri_net import indices
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
 from esri_net.propagation import DEFAULT_MAX_ITER
 
@@ -310,3 +312,42 @@ def test_pooled_unknown_id_raises_and_the_next_pool_is_clean(fig1_net, fig1_pf):
     assert evaluate_scenarios(net, pf, scenarios, workers=2) == evaluate_scenarios(
         net, pf, scenarios, workers=1
     )
+
+
+def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog):
+    # a stub context: its pool records the worker count asked for and maps
+    # in this process, so no worker process is started
+    asked = []
+
+    class StubPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return list(map(fn, iterable))
+
+    stub = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=StubPool))
+    monkeypatch.setattr(indices, "multiprocessing", stub)
+    monkeypatch.setattr(indices, "_task", None)
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    scenarios = [(fid,) for fid in "abcde"]
+    expected = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1)
+    with caplog.at_level("INFO", logger="esri_net.indices"):
+        assert evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=500) == expected
+    assert asked == [2]
+    assert any("500 workers" in r.getMessage() and r.levelname == "INFO" for r in caplog.records)
+    caplog.clear()
+    assert evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=2) == expected
+    assert asked == [2, 2]
+    assert not caplog.records  # a request within the core count is not logged
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 8)
+    evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=500)
+    evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=3)
+    assert asked == [2, 2, 5, 3]  # the scenario count caps too

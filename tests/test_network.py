@@ -453,6 +453,16 @@ def test_round_trip_random_networks(tmp_path):
         assert again == case.net
 
 
+def test_edge_blocks_do_not_change_the_written_bytes(tmp_path, monkeypatch):
+    net = RandomCase(np.random.default_rng(24), n_max=12).net
+    write_network(net, tmp_path / "whole")
+    monkeypatch.setattr(network_module, "_EDGE_BLOCK_ROWS", 5)  # several blocks and a short last one
+    assert net.n_edges > 10 and net.n_edges % 5
+    write_network(net, tmp_path / "blocks")
+    for name in ("firms.csv", "edges.csv"):
+        assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
 # -- strengths and matrix --------------------------------------------------
 
 

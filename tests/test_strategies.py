@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from esri_net import (
+    EssentialityMatrix,
     Heuristic,
     InsufficientPoints,
+    SynthParams,
     batch_indices,
+    calibrate,
+    classify_inputs,
     fit_rank_regimes,
+    generate,
     rank_firms,
     run_heuristic,
+    run_heuristics,
     run_strategy,
 )
+import esri_net.strategies as strategies_module
 
 
 @pytest.fixture()
@@ -129,6 +136,99 @@ def test_benchmark_is_first_reaching_prefix(fig1_net, fig1_pf):
     prior = curve.points[: curve.benchmark_rank - 1]
     assert all(p.cum_co2_saved < 0.5 - 1e-12 for p in prior)
     assert curve.benchmark_point.cum_co2_saved >= 0.5 - 1e-12
+
+
+# -- curves from shared solves ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def synth_case():
+    net = generate(SynthParams(300, 1500, n_ets=12, seed=4))
+    matrix = EssentialityMatrix.default()
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    return net, matrix, ets
+
+
+def synth_pf(net, matrix):
+    return calibrate(net, classify_inputs(net, matrix), gamma=0.5)
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    """The scenario lists that strategies.evaluate_scenarios is called with."""
+    calls = []
+    original = strategies_module.evaluate_scenarios
+
+    def recording(net, pf, scenarios, *args, **kwargs):
+        calls.append([frozenset(s) for s in scenarios])
+        return original(net, pf, scenarios, *args, **kwargs)
+
+    monkeypatch.setattr(strategies_module, "evaluate_scenarios", recording)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batched_curves_equal_the_per_heuristic_curves(synth_case, workers):
+    net, matrix, ets = synth_case
+    pf = synth_pf(net, matrix)
+    table = batch_indices(net, pf, ets, workers=workers)
+    heuristics = list(Heuristic)
+    batched = run_heuristics(net, pf, table, heuristics, 0.3, workers=workers)
+    one_by_one = [run_heuristic(net, pf, table, h, 0.3, workers=workers) for h in heuristics]
+    fresh = [
+        run_strategy(net, pf, rank_firms(table, h), 0.3, workers=workers, heuristic=h)
+        for h in heuristics
+    ]
+    assert batched == one_by_one == fresh
+    assert [c.heuristic for c in batched] == heuristics
+    # the order given is the order returned
+    assert run_heuristics(net, pf, table, heuristics[::-1], 0.3, workers=workers) == batched[::-1]
+
+
+def test_one_call_over_the_distinct_multi_firm_prefixes(synth_case, spy):
+    net, matrix, ets = synth_case
+    pf = synth_pf(net, matrix)
+    table = batch_indices(net, pf, ets, workers=1)
+    run_heuristics(net, pf, table, list(Heuristic), 0.3, workers=1)
+    orderings = [rank_firms(table, h) for h in Heuristic]
+    distinct = {frozenset(o[:k]) for o in orderings for k in range(2, len(o) + 1)}
+    assert len(spy) == 1
+    assert len(spy[0]) == len(set(spy[0]))
+    assert set(spy[0]) == distinct
+    assert len(distinct) < 3 * (len(ets) - 1)  # the full set at least is shared
+
+
+def test_nothing_missing_makes_no_call(fig1_net, fig1_pf, fig1_table, spy):
+    curve = run_strategy(fig1_net, fig1_pf, ["d"], 0.5, workers=1, table=fig1_table)
+    assert spy == []
+    assert curve == run_strategy(fig1_net, fig1_pf, ["d"], 0.5, workers=1)
+
+
+@pytest.mark.parametrize("solved_under", [{"max_iter": 5}, {"tol": 1e-4}, {"pf": "another"}])
+def test_a_table_solved_otherwise_is_not_reused(synth_case, spy, solved_under):
+    net, matrix, ets = synth_case
+    pf = synth_pf(net, matrix)
+    table_pf = synth_pf(net, matrix) if solved_under.pop("pf", None) else pf
+    table = batch_indices(net, table_pf, ets, workers=1, **solved_under)
+    for h in Heuristic:
+        spy.clear()
+        curve = run_heuristic(net, pf, table, h, 0.3, workers=1)
+        ordering = rank_firms(table, h)
+        assert curve == run_strategy(net, pf, ordering, 0.3, workers=1, heuristic=h)
+        assert frozenset(ordering[:1]) in spy[0]
+
+
+def test_reused_singles_report_their_own_cap(fig1_net, fig1_pf, spy, caplog):
+    table = batch_indices(fig1_net, fig1_pf, list("abcde"), workers=1, max_iter=1)
+    ordering = rank_firms(table, Heuristic.LARGEST_EMITTERS_FIRST)
+    with caplog.at_level("WARNING"):
+        run_heuristic(
+            fig1_net, fig1_pf, table, Heuristic.LARGEST_EMITTERS_FIRST, 0.5, workers=1, max_iter=1
+        )
+    assert all(len(s) > 1 for s in spy[0])  # rank 1 came from the table
+    capped = [r.getMessage() for r in caplog.records if "curve prefix(es)" in r.getMessage()]
+    assert len(capped) == 1
+    assert f"rank 1 ({ordering[0]})" in capped[0]
 
 
 # -- regime fits -----------------------------------------------------------------
