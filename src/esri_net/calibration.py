@@ -215,8 +215,9 @@ class ProductionFunctionSet:
         self.has_ne = self.ne_firm_weight > 0.0
 
         self.beta = np.where(self.has_ne, self.gamma * self.x0, self.x0)
-        # sparse step operators, compiled on first use by propagation._operators
-        self._ops = None
+        # the scenario solver (propagation._Engine), built on first use by
+        # propagation._engine
+        self._engine = None
 
     # -- per-firm views -------------------------------------------------------
 

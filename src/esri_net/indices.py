@@ -16,17 +16,19 @@ it was solved under, so strategy curves can reuse those single-firm
 solves (IndexTable.singles).
 
 Every score goes through evaluate_scenarios, which scores all three from
-one propagation per scenario, results in input order.  With more than
-one worker it deals the scenarios round-robin into shares, more shares
-than workers when there are enough scenarios, and forked worker
-processes take the shares one at a time, each stepping a share as the
-columns of one scenario block.  The block's width is set by the memory
-one column takes while it steps (propagation._block_width): six columns
-at 100k firms, 16 at 10k.  The pool never has more workers than the
-host has cores, nor more than there are scenarios.  With one worker
-each scenario goes through propagate in this process.  A call keeps
-what its scenarios share in local variables and hands the pool its task
-through the worker initializer, so concurrent one-worker calls are safe.
+one propagation per scenario, results in input order, with the weights
+that the calibration's engine (propagation._Engine) built once.  With
+more than one worker it deals the scenarios round-robin into shares,
+more shares than workers when there are enough scenarios, and forked
+worker processes take the shares one at a time, each solving a share as
+the columns of one scenario block (_Engine.results).  The block's width
+is set by the memory one column takes while it steps
+(propagation._block_width): six columns at 100k firms, 16 at 10k.  The
+pool never has more workers than the host has cores, nor more than there
+are scenarios.  With one worker each scenario goes through propagate in
+this process.  A call keeps what its scenarios share in local variables
+and hands the pool its task through the worker initializer, so
+concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -41,16 +43,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calibration import ProductionFunctionSet
-from .network import ProductionNetwork, compute_strengths
+from .network import ProductionNetwork
 from .propagation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    EquilibriumState,
     InvalidScenario,
+    ScenarioResult,
     ShockScenario,
     _block_width,
-    _operators,
-    _propagate_block,
+    _engine,
     as_scenario,
     propagate,
 )
@@ -64,52 +65,6 @@ class NoEmploymentData(Exception):
 
 class MissingTotal(Exception):
     """No economy-wide CO2 total configured and none derivable from the data."""
-
-
-# -- scores of an equilibrium --------------------------------------------------
-
-
-def _shares(values: np.ndarray) -> np.ndarray:
-    """values over their sum; zeros when the sum is 0, so every loss reads 0."""
-    total = float(values.sum())
-    return values / total if total > 0.0 else np.zeros_like(values)
-
-
-@dataclass(frozen=True)
-class _Weights:
-    """Fixed per-network weights of the three scenario scores.
-
-    Each score is a dot product of weights with the shortfalls 1 - h:
-    out-strength shares (esri), employment shares over the firms with a
-    known count (ew_esri) and known emissions (eliminated CO2).
-    emp_known is None when no firm has an employee count.
-    """
-
-    out_shares: np.ndarray
-    emp_known: np.ndarray | None
-    emp_shares: np.ndarray
-    co2_known: np.ndarray
-    co2: np.ndarray
-
-    @classmethod
-    def of(cls, net: ProductionNetwork) -> "_Weights":
-        employees = net.employees_array()
-        emp_known = ~np.isnan(employees)
-        co2 = net.co2_array()
-        co2_known = ~np.isnan(co2)
-        return cls(
-            out_shares=_shares(compute_strengths(net).s_out),
-            emp_known=emp_known if emp_known.any() else None,
-            emp_shares=_shares(employees[emp_known]),
-            co2_known=co2_known,
-            co2=co2[co2_known],
-        )
-
-    def score(self, h: np.ndarray) -> tuple[float, float, float]:
-        """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
-        loss = 1.0 - h
-        ew = math.nan if self.emp_known is None else float(np.dot(self.emp_shares, loss[self.emp_known]))
-        return float(np.dot(self.out_shares, loss)), ew, float(np.dot(self.co2, loss[self.co2_known]))
 
 
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
@@ -190,11 +145,6 @@ class IndexRow:
     error = None
 
 
-# One scenario's evaluate_scenarios result:
-# (esri, ew_esri, eliminated_co2, iterations, converged).
-ScenarioResult = tuple[float, float, float, int, bool]
-
-
 @dataclass(frozen=True)
 class IndexTable:
     rows: tuple[IndexRow, ...]
@@ -245,7 +195,7 @@ _SHARE_BLOCKS = 4
 # The pool's task, share number -> that share's results, set by
 # _init_worker in each worker process alone.  Under fork the initializer's
 # arguments reach the child in its copy of the parent's memory, so the
-# network and compiled operators are inherited without serialization.
+# network and its engine are inherited without serialization.
 _task = None
 
 
@@ -272,46 +222,37 @@ def evaluate_scenarios(
     round-robin into shares of _SHARE_BLOCKS blocks' worth of scenarios
     (one scenario where a block is one column), and at least one share per
     worker.  Forked workers take the shares one at a time, so a worker that
-    ends early takes the next, and step each share as the columns of one
-    scenario block (propagation._propagate_block); otherwise each scenario
-    goes through propagate in this process.  Both give every scenario
-    propagate's result bit for bit, so results, in input order, are
-    identical for any worker count.  The pool has at most as many workers
-    as the host has cores (os.cpu_count()); a larger request is logged at
-    INFO and capped.  ew_esri is nan when no firm has an employee count.
+    ends early takes the next, and solve each share as the columns of one
+    scenario block (propagation._Engine.results); otherwise each scenario
+    goes through propagate in this process and is scored by the same
+    engine.  Both give every scenario propagate's result bit for bit, so
+    results, in input order, are identical for any worker count.  The pool
+    has at most as many workers as the host has cores (os.cpu_count()); a
+    larger request is logged at INFO and capped.  ew_esri is nan when no
+    firm has an employee count.
     """
     scenarios = list(scenarios)
-    weights = _Weights.of(net)
-
-    def result(eq: EquilibriumState) -> ScenarioResult:
-        return (*weights.score(eq.h), eq.iterations, eq.converged)
-
     cores = os.cpu_count() or 1
     n_workers = workers if workers is not None else cores
     if n_workers > cores:
         log.info("%d workers asked for; the pool is capped at the %d core(s)", n_workers, cores)
         n_workers = cores
     n_workers = min(n_workers, len(scenarios))
-    ops = _operators(net, pf)  # compile the sparse operators before forking workers
+    engine = _engine(net, pf)  # built before any worker is forked
     if n_workers > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platform without fork: stay sequential
             log.warning("fork unavailable; evaluating scenarios sequentially")
         else:
-            width = _block_width(ops.column_bytes, len(scenarios))
+            width = _block_width(engine.column_bytes, len(scenarios))
             # a one-column block has no columns to keep full
             per_share = _SHARE_BLOCKS * width if width > 1 else 1
             n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
 
             def share(j: int) -> list[ScenarioResult]:
-                """Results of share j, every n_shares-th scenario from the j-th, stepped as one block."""
-                part = scenarios[j::n_shares]
-                results = [None] * len(part)
-                columns = _block_width(ops.column_bytes, len(part))
-                for k, eq in _propagate_block(net, pf, part, columns, tol, max_iter):
-                    results[k] = result(eq)
-                return results
+                """Results of share j, every n_shares-th scenario from the j-th."""
+                return engine.results(scenarios[j::n_shares], tol, max_iter)
 
             with ctx.Pool(n_workers, initializer=_init_worker, initargs=(share,)) as pool:
                 shares = pool.map(_run_task, range(n_shares), chunksize=1)
@@ -319,7 +260,7 @@ def evaluate_scenarios(
             for j, part in enumerate(shares):
                 results[j::n_shares] = part
             return results
-    return [result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
+    return [engine.result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
 
 
 def batch_indices(

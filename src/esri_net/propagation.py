@@ -37,15 +37,20 @@ and never sorted again.
 The step takes one state of shape (2n,) or a block of states, the
 columns of a C-order (2n, w) array: the products and the glue act on
 each column alone, and removed firms are clamped through flat positions
-into the output.  _propagate_block steps many scenarios at once this
-way, one per column, and propagate is that loop with one column.  Each
-column of a product over a block is bitwise the product over that
-column alone, so a block's equilibria are the same at any width, bit
-for bit; a wider block pays off because a sparse product over several
-columns costs less per column than over one.
+into the output.  Each column of a product over a block is bitwise the
+product over that column alone, so a block's equilibria are the same at
+any width, bit for bit; a wider block pays off because a sparse product
+over several columns costs less per column than over one.
+
+One _Engine per calibration holds everything a scenario's solve reads:
+the compiled step, the weights that score an equilibrium and the block
+loop, which steps many scenarios at once, one per column.  It is built
+on first use, before any worker process is forked, and cached on the
+calibration; propagate is its block loop with one column.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -114,7 +119,11 @@ class EquilibriumState:
             raise ValueError(f"unknown firm id {firm_id!r}") from None
 
 
-# -- vectorized operators ------------------------------------------------------
+# One scenario's score: (esri, ew_esri, eliminated_co2, iterations, converged).
+ScenarioResult = tuple[float, float, float, int, bool]
+
+
+# -- the engine ------------------------------------------------------------------
 
 
 def _new_of_old(key: np.ndarray) -> np.ndarray:
@@ -136,17 +145,28 @@ def _renamed(m: sp.csr_matrix, pos: np.ndarray) -> sp.csr_matrix:
     return m
 
 
-class _Operators:
-    """The one Jacobi step, compiled from a calibrated model.
+def _shares(values: np.ndarray) -> np.ndarray:
+    """values over their sum; zeros when the sum is 0, so every loss reads 0."""
+    total = float(values.sum())
+    return values / total if total > 0.0 else np.zeros_like(values)
+
+
+class _Engine:
+    """One calibrated model's scenario solver: the compiled step, the score
+    weights and the block loop.
 
     The step maps a stacked state x = [h_d; h_u] (length 2n) in engine order
     to the next one with two sparse products: the downstream operator D on
     h_d and the upstream operator U on h_u.  down[i] and up[i] are firm i's
-    positions in h_d and h_u.
+    positions in h_d and h_u.  Each score is a dot product of weights with
+    the shortfalls 1 - h in firm order: out-strength shares (esri),
+    employment shares over the firms with a known count (ew_esri; emp_known
+    is None when no firm has one) and known emissions (eliminated CO2).
     """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
         n = net.n_firms
+        self.net = net
         self.n = n
         self.gamma = pf.gamma
 
@@ -211,9 +231,22 @@ class _Operators:
         # states and the outputs of D and U
         self.column_bytes = 8 * (4 * n + self.D.shape[0] + self.n_sellers)
 
+        employees = net.employees_array()
+        emp_known = ~np.isnan(employees)
+        co2 = net.co2_array()
+        self.out_shares = _shares(s_out)
+        self.emp_known = emp_known if emp_known.any() else None
+        self.emp_shares = _shares(employees[emp_known])
+        self.co2_known = ~np.isnan(co2)
+        self.co2 = co2[self.co2_known]
+
     def positions(self, firms: np.ndarray) -> np.ndarray:
         """Positions of the given firms in the stacked state, both channels."""
         return np.concatenate((self.down[firms], self.up[firms] + np.int32(self.n)))
+
+    def removed(self, scenario: ShockScenario | Iterable[str]) -> np.ndarray:
+        """Positions of the scenario's removed firms in the stacked state."""
+        return self.positions(_removed_index(self.net, as_scenario(scenario))).astype(np.intp)
 
     def stacked(self, h_d: np.ndarray, h_u: np.ndarray) -> np.ndarray:
         """Levels in firm order as one stacked state in engine order."""
@@ -260,13 +293,114 @@ class _Operators:
         out[sellers_end:].fill(1.0)
         out.reshape(-1)[removed] = 0.0
 
+    def score(self, h: np.ndarray) -> tuple[float, float, float]:
+        """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
+        loss = 1.0 - h
+        ew = math.nan if self.emp_known is None else float(np.dot(self.emp_shares, loss[self.emp_known]))
+        return float(np.dot(self.out_shares, loss)), ew, float(np.dot(self.co2, loss[self.co2_known]))
 
-def _operators(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Operators:
+    def result(self, eq: EquilibriumState) -> ScenarioResult:
+        """An equilibrium's score with its step count and convergence flag."""
+        return (*self.score(eq.h), eq.iterations, eq.converged)
+
+    def equilibrium(self, x: np.ndarray, iterations: int, max_delta: float, tol: float) -> EquilibriumState:
+        """The equilibrium read from a stacked state after its final step."""
+        h_d, h_u = self.levels(x)
+        return EquilibriumState(
+            ids=self.net.ids,
+            h_d=h_d,
+            h_u=h_u,
+            h=np.minimum(h_d, h_u),
+            iterations=iterations,
+            max_delta=max_delta,
+            converged=max_delta <= tol,
+        )
+
+    def solve(
+        self,
+        scenarios: Sequence[ShockScenario | Iterable[str]],
+        width: int | None = None,
+        tol: float = DEFAULT_TOL,
+        max_iter: int = DEFAULT_MAX_ITER,
+    ) -> Iterator[tuple[int, EquilibriumState]]:
+        """propagate each scenario, stepping up to width of them (by default
+        _block_width's) as the columns of one state; yields (position in
+        scenarios, equilibrium) as each ends.
+
+        A column ends at the step where its own change reaches tol, or at the
+        cap, and takes the next pending scenario; once none is pending, the
+        ended columns are dropped, the kept ones moving into the spent buffer.
+        Each column of a sparse product over a block is bit-identical to the
+        product over that column alone, and the rest of a step is elementwise,
+        so every equilibrium is the same at any width, bit for bit.
+        """
+        _check_limits(tol, max_iter)
+        if width is None:
+            width = _block_width(self.column_bytes, len(scenarios))
+        if width < 1:
+            raise ValueError(f"block width must be at least 1, got {width}")
+
+        pending = enumerate(scenarios)
+        entering = list(islice(pending, width))
+        owner = [k for k, _ in entering]  # the scenario in each column
+        removed = [self.removed(s) for _, s in entering]  # its removed firms in the state
+        x = np.ones((2 * self.n, len(owner)))
+        for col, r in enumerate(removed):
+            x[r, col] = 0.0
+        out = np.empty_like(x)
+        step = 0  # steps taken by the block
+        first = [0] * len(owner)  # steps the block had taken when each column's scenario entered
+        clamp = None
+
+        while owner:
+            if clamp is None:
+                w = len(owner)
+                clamp = np.concatenate([r * w + col for col, r in enumerate(removed)])
+            self.step(x, clamp, out)
+            step += 1
+            # the old state is spent: it takes the step change, then the next step
+            np.subtract(out, x, out=x)
+            delta = _column_sup(x)
+            x, out = out, x
+            ended = [col for col, d in enumerate(delta) if d <= tol or step - first[col] >= max_iter]
+            if not ended:
+                continue
+            clamp = None
+            for col in ended:
+                yield owner[col], self.equilibrium(x[:, col], step - first[col], delta[col], tol)
+                k, scenario = next(pending, (None, None))
+                owner[col] = k
+                if k is not None:
+                    removed[col] = self.removed(scenario)
+                    x[:, col] = 1.0
+                    x[removed[col], col] = 0.0
+                    first[col] = step
+            keep = [col for col, k in enumerate(owner) if k is not None]
+            if len(keep) < len(owner):
+                spent = _first_columns(out, len(keep))
+                out = _first_columns(x, len(keep))
+                x = np.take(x, keep, axis=1, out=spent)
+                first = [first[col] for col in keep]
+                owner = [owner[col] for col in keep]
+                removed = [removed[col] for col in keep]
+
+    def results(
+        self, part: Sequence[ShockScenario | Iterable[str]], tol: float, max_iter: int
+    ) -> list[ScenarioResult]:
+        """Each scenario's score, in the order given, stepped as one block."""
+        results = [None] * len(part)
+        for k, eq in self.solve(part, tol=tol, max_iter=max_iter):
+            results[k] = self.result(eq)
+        return results
+
+
+def _engine(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Engine:
+    """The calibration's engine, built on its first use."""
     if pf.net is not net:
         raise ValueError("production functions were calibrated for a different network")
-    if pf._ops is None:
-        pf._ops = _Operators(net, pf)
-    return pf._ops
+    if pf._engine is None:
+        pf._engine = _Engine(net, pf)
+    return pf._engine
 
 
 def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
@@ -295,13 +429,13 @@ def production_step(
     scenario: ShockScenario | Iterable[str],
 ) -> LevelState:
     """One synchronous update of the given state under the scenario."""
-    ops = _operators(net, pf)
-    removed = ops.positions(_removed_index(net, as_scenario(scenario)))
-    x = ops.stacked(state.h_d, state.h_u)
+    engine = _engine(net, pf)
+    removed = engine.removed(scenario)
+    x = engine.stacked(state.h_d, state.h_u)
     x[removed] = 0.0
     out = np.empty_like(x)
-    ops.step(x, removed, out)
-    h_d, h_u = ops.levels(out)
+    engine.step(x, removed, out)
+    h_d, h_u = engine.levels(out)
     return LevelState(ids=net.ids, h_d=h_d, h_u=h_u)
 
 
@@ -319,22 +453,6 @@ def _check_limits(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _equilibrium(
-    net: ProductionNetwork, ops: _Operators, x: np.ndarray, iterations: int, max_delta: float, tol: float
-) -> EquilibriumState:
-    """The equilibrium read from a stacked state after its final step."""
-    h_d, h_u = ops.levels(x)
-    return EquilibriumState(
-        ids=net.ids,
-        h_d=h_d,
-        h_u=h_u,
-        h=np.minimum(h_d, h_u),
-        iterations=iterations,
-        max_delta=max_delta,
-        converged=max_delta <= tol,
-    )
-
-
 def propagate(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
@@ -349,7 +467,7 @@ def propagate(
     is not reached within max_iter steps, converged is False and the
     last state is returned; levels are still valid bounds.
     """
-    return next(_propagate_block(net, pf, [scenario], 1, tol, max_iter))[1]
+    return next(_engine(net, pf).solve([scenario], 1, tol, max_iter))[1]
 
 
 # -- scenario blocks -------------------------------------------------------------
@@ -368,7 +486,7 @@ _FOLD_ROWS = 64
 
 def _block_width(column_bytes: int, n_scenarios: int) -> int:
     """Columns of the block that steps n_scenarios scenarios, one column
-    holding column_bytes (_Operators.column_bytes)."""
+    holding column_bytes (_Engine.column_bytes)."""
     return min(_BLOCK_COLUMNS, n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
 
 
@@ -394,74 +512,3 @@ def _column_sup(d: np.ndarray) -> list[float]:
 def _first_columns(a: np.ndarray, columns: int) -> np.ndarray:
     """A C-order (rows, columns) view on the start of block a's buffer."""
     return a.reshape(-1)[: a.shape[0] * columns].reshape(a.shape[0], columns)
-
-
-def _propagate_block(
-    net: ProductionNetwork,
-    pf: ProductionFunctionSet,
-    scenarios: Sequence[ShockScenario | Iterable[str]],
-    width: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Iterator[tuple[int, EquilibriumState]]:
-    """propagate each scenario, stepping up to width of them as the columns
-    of one state; yields (position in scenarios, equilibrium) as each ends.
-
-    A column ends at the step where its own change reaches tol, or at the
-    cap, and takes the next pending scenario; once none is pending, the
-    ended columns are dropped, the kept ones moving into the spent buffer.
-    Each column of a sparse product over a block is bit-identical to the
-    product over that column alone, and the rest of a step is elementwise,
-    so every equilibrium is the same at any width, bit for bit.
-    """
-    _check_limits(tol, max_iter)
-    if width < 1:
-        raise ValueError(f"block width must be at least 1, got {width}")
-    ops = _operators(net, pf)
-
-    def positions(scenario: ShockScenario | Iterable[str]) -> np.ndarray:
-        return ops.positions(_removed_index(net, as_scenario(scenario))).astype(np.intp)
-
-    pending = enumerate(scenarios)
-    entering = list(islice(pending, width))
-    owner = [k for k, _ in entering]  # the scenario in each column
-    removed = [positions(s) for _, s in entering]  # its removed firms in the state
-    x = np.ones((2 * ops.n, len(owner)))
-    for col, r in enumerate(removed):
-        x[r, col] = 0.0
-    out = np.empty_like(x)
-    step = 0  # steps taken by the block
-    first = [0] * len(owner)  # steps the block had taken when each column's scenario entered
-    clamp = None
-
-    while owner:
-        if clamp is None:
-            w = len(owner)
-            clamp = np.concatenate([r * w + col for col, r in enumerate(removed)])
-        ops.step(x, clamp, out)
-        step += 1
-        # the old state is spent: it takes the step change, then the next step
-        np.subtract(out, x, out=x)
-        delta = _column_sup(x)
-        x, out = out, x
-        ended = [col for col, d in enumerate(delta) if d <= tol or step - first[col] >= max_iter]
-        if not ended:
-            continue
-        clamp = None
-        for col in ended:
-            yield owner[col], _equilibrium(net, ops, x[:, col], step - first[col], delta[col], tol)
-            k, scenario = next(pending, (None, None))
-            owner[col] = k
-            if k is not None:
-                removed[col] = positions(scenario)
-                x[:, col] = 1.0
-                x[removed[col], col] = 0.0
-                first[col] = step
-        keep = [col for col, k in enumerate(owner) if k is not None]
-        if len(keep) < len(owner):
-            spent = _first_columns(out, len(keep))
-            out = _first_columns(x, len(keep))
-            x = np.take(x, keep, axis=1, out=spent)
-            first = [first[col] for col in keep]
-            owner = [owner[col] for col in keep]
-            removed = [removed[col] for col in keep]

@@ -168,7 +168,7 @@ def test_gamma_bounds(fig1_net, fig1_matrix):
 def test_partition_must_match_network(fig1_net, fig1_matrix):
     other = RandomCase(np.random.default_rng(3))
     part = classify_inputs(other.net, other.matrix)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input partition was built for a different network$"):
         calibrate(fig1_net, part)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -22,10 +23,14 @@ from esri_net import (
     compute_strengths,
     generate,
     initial_state,
+    load_network,
     production_step,
     propagate,
+    write_network,
 )
-from esri_net.propagation import _block_width, _operators, _propagate_block
+from esri_net import indices
+from esri_net.indices import evaluate_scenarios
+from esri_net.propagation import _block_width, _engine
 
 import oracle
 from conftest import RandomCase
@@ -54,13 +59,31 @@ def test_unknown_ids_rejected(fig1_net, fig1_pf):
         propagate(fig1_net, fig1_pf, ["a", "zz"])
 
 
-def test_argument_validation(fig1_net, fig1_pf):
+def test_argument_validation(fig1_net, fig1_pf, fig1_matrix, tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], tol=0.0)
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], tol=float("nan"))
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], max_iter=0)
+    # a calibration belongs to its network object, not to an equal copy
+    write_network(fig1_net, tmp_path)
+    copy = load_network(tmp_path / "firms.csv", tmp_path / "edges.csv")
+    assert copy == fig1_net and copy is not fig1_net
+    copy_pf = calibrate(copy, classify_inputs(copy, fig1_matrix), gamma=0.0)
+    # a stub context records any pool asked for, so none is started
+    contexts = []
+    monkeypatch.setattr(indices, "multiprocessing", SimpleNamespace(get_context=contexts.append))
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    mismatch = "^production functions were calibrated for a different network$"
+    with pytest.raises(ValueError, match=mismatch):
+        propagate(fig1_net, copy_pf, ["a"])
+    with pytest.raises(ValueError, match=mismatch):
+        production_step(initial_state(fig1_net, ["a"]), fig1_net, copy_pf, ["a"])
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=mismatch):
+            evaluate_scenarios(fig1_net, copy_pf, [("a",), ("d",)], workers=workers)
+    assert contexts == []  # raised before any pool was built
 
 
 # -- bundled 5-firm example ----------------------------------------------------
@@ -477,7 +500,7 @@ def test_equilibrium_lookup_by_id(fig1_net, fig1_pf):
 def _assert_block_same_as_propagate(net, pf, scenarios, width, **kw):
     """Every equilibrium of a block run equals propagate's bit for bit;
     returns the (position, equilibrium) pairs in the order they ended."""
-    ended = list(_propagate_block(net, pf, scenarios, width, **kw))
+    ended = list(_engine(net, pf).solve(scenarios, width, **kw))
     assert sorted(k for k, _ in ended) == list(range(len(scenarios)))
     for k, eq in ended:
         ref = propagate(net, pf, scenarios[k], **kw)
@@ -520,16 +543,16 @@ def test_block_same_as_propagate_on_small_networks(fig1_net, fig1_pf):
 
 def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
     with pytest.raises(ValueError):
-        list(_propagate_block(fig1_net, fig1_pf, [("a",)], 1, tol=0.0))
+        list(_engine(fig1_net, fig1_pf).solve([("a",)], 1, tol=0.0))
     with pytest.raises(ValueError):
-        list(_propagate_block(fig1_net, fig1_pf, [("a",)], 1, max_iter=0))
+        list(_engine(fig1_net, fig1_pf).solve([("a",)], 1, max_iter=0))
     with pytest.raises(InvalidScenario):
-        list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 2))
+        list(_engine(fig1_net, fig1_pf).solve([("a",), ("zz",)], 2))
     with pytest.raises(InvalidScenario):  # met as it enters a column
-        list(_propagate_block(fig1_net, fig1_pf, [("a",), ("zz",)], 1))
+        list(_engine(fig1_net, fig1_pf).solve([("a",), ("zz",)], 1))
     for width in (0, -3):
         with pytest.raises(ValueError, match=f"got {width}$"):
-            list(_propagate_block(fig1_net, fig1_pf, [("a",)], width))
+            list(_engine(fig1_net, fig1_pf).solve([("a",)], width))
 
 
 def _column_bytes(n_firms, d_rows, u_rows):
@@ -539,7 +562,7 @@ def _column_bytes(n_firms, d_rows, u_rows):
 
 def test_block_width_rule(multi_group_model):
     net, pf = multi_group_model
-    ops = _operators(net, pf)
+    ops = _engine(net, pf)
     assert ops.column_bytes == _column_bytes(net.n_firms, ops.D.shape[0], ops.U.shape[0])
     # at most 32 MiB of columns and at most 16 columns; the D and U rows are
     # those of the generated 100k-firm (seed 7) and 10k-firm (seed 5) networks
@@ -556,7 +579,7 @@ def test_block_width_rule(multi_group_model):
 def _assert_descends(net, pf, scenarios, steps):
     """Steps the scenarios as one block and checks new <= old, element by
     element, at every step: the step change is never positive."""
-    ops = _operators(net, pf)
+    ops = _engine(net, pf)
     w = len(scenarios)
     x = np.ones((2 * ops.n, w))
     clamp = []
@@ -587,5 +610,5 @@ def test_levels_descend_exactly(multi_group_model):
         _assert_descends(net, pf, [(fid,) for fid in ets[:5]] + [tuple(ets[:12])], 100)
         # a scenario that moves nothing ends after one step with a change of +0.0
         for width in (1, 2):
-            _, eq = next(_propagate_block(net, pf, [(), (ets[0],)], width))
+            _, eq = next(_engine(net, pf).solve([(), (ets[0],)], width))
             assert eq.iterations == 1 and math.copysign(1.0, eq.max_delta) == 1.0

@@ -14,12 +14,14 @@ from esri_net import (
     classify_inputs,
     fit_rank_regimes,
     generate,
+    propagate,
     rank_firms,
     run_heuristic,
     run_heuristics,
     run_strategy,
 )
 import esri_net.strategies as strategies_module
+from esri_net.propagation import _engine
 
 
 @pytest.fixture()
@@ -229,6 +231,19 @@ def test_reused_singles_report_their_own_cap(fig1_net, fig1_pf, spy, caplog):
     capped = [r.getMessage() for r in caplog.records if "curve prefix(es)" in r.getMessage()]
     assert len(capped) == 1
     assert f"rank 1 ({ordering[0]})" in capped[0]
+
+
+def test_one_engine_per_calibration(synth_case):
+    net, matrix, ets = synth_case
+    pf = synth_pf(net, matrix)
+    engine = _engine(net, pf)
+    propagate(net, pf, ets[:2])
+    assert _engine(net, pf) is engine
+    for workers in (1, 2):
+        table = batch_indices(net, pf, ets, workers=workers)
+        assert _engine(net, pf) is engine
+        run_heuristics(net, pf, table, list(Heuristic), 0.3, workers=workers)
+        assert _engine(net, pf) is engine
 
 
 # -- regime fits -----------------------------------------------------------------
