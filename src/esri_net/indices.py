@@ -18,11 +18,10 @@ solves (IndexTable.singles).
 Every score goes through evaluate_scenarios, which scores all three from
 one propagation per scenario, results in input order, with the weights
 that the calibration's engine (propagation._Engine) built once.  With
-more than one worker it deals the scenarios round-robin into shares,
-more shares than workers when there are enough scenarios, and forked
-worker processes take the shares one at a time, each solving a share as
-the columns of one scenario block (_Engine.results).  The block's width
-is set by the memory one column takes while it steps
+more than one worker it deals the scenarios round-robin into one share
+per forked worker process, and each worker solves its share as the
+columns of one refilling scenario block (_Engine.results).  The block's
+width is set by the memory one column takes while it steps
 (propagation._block_width): six columns at 100k firms, 16 at 10k.  The
 pool never has more workers than the host has cores, nor more than there
 are scenarios.  With one worker each scenario goes through propagate in
@@ -50,7 +49,6 @@ from .propagation import (
     InvalidScenario,
     ScenarioResult,
     ShockScenario,
-    _block_width,
     _engine,
     as_scenario,
     propagate,
@@ -70,8 +68,8 @@ class MissingTotal(Exception):
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
     """Configured economy-wide total, defaulting to the sum of known emissions."""
     if total_co2 is not None:
-        if not total_co2 > 0.0:
-            raise ValueError(f"total_co2 must be positive, got {total_co2}")
+        if not 0.0 < total_co2 < math.inf:
+            raise ValueError(f"total_co2 must be positive and finite, got {total_co2}")
         return float(total_co2)
     co2 = net.co2_array()
     known = ~np.isnan(co2)
@@ -188,11 +186,7 @@ def _ratio(co2_share_total: float, ew: float) -> float:
     return math.inf if co2_share_total > 0.0 else 0.0
 
 
-# A pool share holds this many blocks' worth of scenarios, so that refills
-# keep its block full for most of its steps.
-_SHARE_BLOCKS = 4
-
-# The pool's task, share number -> that share's results, set by
+# The pool's task, worker number -> that worker's results, set by
 # _init_worker in each worker process alone.  Under fork the initializer's
 # arguments reach the child in its copy of the parent's memory, so the
 # network and its engine are inherited without serialization.
@@ -219,11 +213,9 @@ def evaluate_scenarios(
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
 
     Scenarios are independent.  With more than one worker they are dealt
-    round-robin into shares of _SHARE_BLOCKS blocks' worth of scenarios
-    (one scenario where a block is one column), and at least one share per
-    worker.  Forked workers take the shares one at a time, so a worker that
-    ends early takes the next, and solve each share as the columns of one
-    scenario block (propagation._Engine.results); otherwise each scenario
+    round-robin into one share per worker, and each forked worker solves
+    its share as the columns of one scenario block, refilled as columns
+    end (propagation._Engine.results); otherwise each scenario
     goes through propagate in this process and is scored by the same
     engine.  Both give every scenario propagate's result bit for bit, so
     results, in input order, are identical for any worker count.  The pool
@@ -245,20 +237,15 @@ def evaluate_scenarios(
         except ValueError:  # platform without fork: stay sequential
             log.warning("fork unavailable; evaluating scenarios sequentially")
         else:
-            width = _block_width(engine.column_bytes, len(scenarios))
-            # a one-column block has no columns to keep full
-            per_share = _SHARE_BLOCKS * width if width > 1 else 1
-            n_shares = max(n_workers, math.ceil(len(scenarios) / per_share))
-
             def share(j: int) -> list[ScenarioResult]:
-                """Results of share j, every n_shares-th scenario from the j-th."""
-                return engine.results(scenarios[j::n_shares], tol, max_iter)
+                """Results of worker j's share, every n_workers-th scenario from the j-th."""
+                return engine.results(scenarios[j::n_workers], tol, max_iter)
 
             with ctx.Pool(n_workers, initializer=_init_worker, initargs=(share,)) as pool:
-                shares = pool.map(_run_task, range(n_shares), chunksize=1)
+                shares = pool.map(_run_task, range(n_workers))
             results = [None] * len(scenarios)
             for j, part in enumerate(shares):
-                results[j::n_shares] = part
+                results[j::n_workers] = part
             return results
     return [engine.result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
 

@@ -159,6 +159,8 @@ def test_total_co2_resolution(fig1_net):
         resolve_total_co2(fig1_net, -1.0)
     with pytest.raises(ValueError):
         resolve_total_co2(fig1_net, float("nan"))
+    with pytest.raises(ValueError):
+        resolve_total_co2(fig1_net, math.inf)
 
 
 def test_explicit_total_rescales_share(fig1_net, fig1_pf):
@@ -246,7 +248,7 @@ def test_worker_counts_agree_bitwise(fig1_net, fig1_pf):
     # every subset of the firms, twice: shares of 22 scenarios at 3 workers
     # overflow a 16-column block, so ended columns refill, and the cap of 2
     # steps ends some columns capped and others converged; eight times over,
-    # they make four shares of 64, more shares than workers
+    # each worker's share of 85 or 86 refills its block several times
     subsets = [tuple(c) for k in range(6) for c in itertools.combinations("abcde", k)] * 2
     for scenarios, max_iter in ((singles, DEFAULT_MAX_ITER), (subsets, 2), (subsets * 4, 2)):
         seq = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1, max_iter=max_iter)
@@ -318,6 +320,7 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
     # a stub context: its pool records the worker count asked for and maps
     # in this process, so no worker process is started
     asked = []
+    dealt = []  # what each pool's map was given
 
     class StubPool:
         def __init__(self, processes, initializer, initargs):
@@ -330,8 +333,9 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return list(map(fn, iterable))
+        def map(self, fn, iterable):
+            dealt.append(list(iterable))
+            return list(map(fn, dealt[-1]))
 
     stub = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=StubPool))
     monkeypatch.setattr(indices, "multiprocessing", stub)
@@ -351,3 +355,12 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
     evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=500)
     evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=3)
     assert asked == [2, 2, 5, 3]  # the scenario count caps too
+    # one share per worker, however many scenarios there are
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    subsets = [tuple(c) for k in range(6) for c in itertools.combinations("abcde", k)]
+    many = (subsets * 5)[:150]
+    dealt.clear()
+    assert evaluate_scenarios(fig1_net, fig1_pf, many, workers=2) == evaluate_scenarios(
+        fig1_net, fig1_pf, many, workers=1
+    )
+    assert dealt == [[0, 1]]
