@@ -27,7 +27,7 @@ from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, c
 from .indices import IndexTable, MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
 from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
-from .propagation import InvalidScenario, propagate
+from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, InvalidScenario, propagate
 from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristics
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
 
@@ -452,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--net", required=True, help="directory with firms.csv and edges.csv")
 
     p_prop = argparse.ArgumentParser(add_help=False)
-    p_prop.add_argument("--tol", type=_positive_float, default=1e-9,
-                        help="sup-norm convergence tolerance (default 1e-9)")
-    p_prop.add_argument("--max-iter", type=_positive_int, default=1000,
-                        help="iteration cap (default 1000)")
+    p_prop.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
+                        help="sup-norm convergence tolerance (default %(default)s)")
+    p_prop.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER,
+                        help="iteration cap (default %(default)s)")
 
     p_par = argparse.ArgumentParser(add_help=False)
     p_par.add_argument("--threads", type=_positive_int, default=None,

@@ -22,12 +22,12 @@ more than one worker it deals the scenarios round-robin into one share
 per forked worker process, and each worker solves its share as the
 columns of one refilling scenario block (_Engine.results).  The block's
 width is set by the memory one column takes while it steps
-(propagation._block_width): six columns at 100k firms, 16 at 10k.  The
-pool never has more workers than the host has cores, nor more than there
-are scenarios.  With one worker each scenario goes through propagate in
-this process.  A call keeps what its scenarios share in local variables
-and hands the pool its task through the worker initializer, so
-concurrent one-worker calls are safe.
+(propagation._block_width): up to six columns at 100k firms and 65 at
+10k.  The pool never has more workers than the host has cores, nor more
+than there are scenarios.  With one worker each scenario goes through
+propagate in this process.  A call keeps what its scenarios share in
+local variables and hands the pool its task through the worker
+initializer, so concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calibration import ProductionFunctionSet
-from .network import ProductionNetwork
+from .network import ProductionNetwork, known_co2_total
 from .propagation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -71,17 +71,13 @@ def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
         if not 0.0 < total_co2 < math.inf:
             raise ValueError(f"total_co2 must be positive and finite, got {total_co2}")
         return float(total_co2)
-    co2 = net.co2_array()
-    known = ~np.isnan(co2)
-    if not known.any():
+    if np.isnan(net.co2_array()).all():
         raise MissingTotal("no firm has emission data and no economy-wide total configured")
-    return float(co2[known].sum())
+    return known_co2_total(net)
 
 
 def ets_total_co2(net: ProductionNetwork) -> float:
-    co2 = net.co2_array()
-    mask = net.ets_mask() & ~np.isnan(co2)
-    return float(co2[mask].sum()) if mask.any() else 0.0
+    return known_co2_total(net, ets_only=True)
 
 
 # -- scenario-level indices ----------------------------------------------------

@@ -622,15 +622,20 @@ def compute_strengths(net: ProductionNetwork) -> StrengthTable:
     return net._strengths
 
 
+def known_co2_total(net: ProductionNetwork, ets_only: bool = False) -> float:
+    """Sum of the known emissions, of the ETS firms only if ets_only, 0.0
+    when none is known: validate and the index shares read this one sum."""
+    co2 = net.co2_array()
+    return float(co2[~np.isnan(co2) & (net.ets_mask() if ets_only else True)].sum())
+
+
 def validate(net: ProductionNetwork) -> ValidationReport:
     """Structural and coverage diagnostics; never raises on a loaded network."""
     st = compute_strengths(net)
     isolated = st.s_total == 0.0
     employees = net.employees_array()
-    co2 = net.co2_array()
-    ets = net.ets_mask()
     known_emp = ~np.isnan(employees)
-    known_co2 = ~np.isnan(co2)
+    known_co2 = ~np.isnan(net.co2_array())
 
     warnings: list[str] = []
     n_isolated = int(isolated.sum())
@@ -646,7 +651,7 @@ def validate(net: ProductionNetwork) -> ValidationReport:
         n_edges=net.n_edges,
         n_isolated=n_isolated,
         n_zero_out_strength=int((st.s_out == 0.0).sum()),
-        n_ets=int(ets.sum()),
+        n_ets=int(net.ets_mask().sum()),
         total_weight=float(net.weights.sum()),
         max_s_out=float(st.s_out.max(initial=0.0)),
         max_s_in=float(st.s_in.max(initial=0.0)),
@@ -654,8 +659,8 @@ def validate(net: ProductionNetwork) -> ValidationReport:
         employment_known_share=float(known_emp.mean()) if net.n_firms else 0.0,
         employees_total_known=int(np.nansum(employees)) if known_emp.any() else 0,
         co2_known_firms=int(known_co2.sum()),
-        co2_total_known=float(np.nansum(co2)) if known_co2.any() else 0.0,
-        ets_co2_total=float(np.nansum(np.where(ets, co2, np.nan))) if (ets & known_co2).any() else 0.0,
+        co2_total_known=known_co2_total(net),
+        ets_co2_total=known_co2_total(net, ets_only=True),
         isolated_ids=tuple(np.array(net.ids)[isolated][:20]),
         warnings=tuple(warnings),
     )

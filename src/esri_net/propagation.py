@@ -467,7 +467,7 @@ def propagate(
     is not reached within max_iter steps, converged is False and the
     last state is returned; levels are still valid bounds.
     """
-    return next(_engine(net, pf).solve([scenario], 1, tol, max_iter))[1]
+    return next(_engine(net, pf).solve([scenario], tol=tol, max_iter=max_iter))[1]
 
 
 # -- scenario blocks -------------------------------------------------------------
@@ -476,10 +476,8 @@ def propagate(
 # product outputs (8 bytes per row of each).  At 100k firms that is 5.1 MB,
 # and a forked worker's peak memory read 113.8, 127.4, 134.9, 158.2 and
 # 181.1 MB at widths 1, 4, 6, 8 and 12.  _BLOCK_BYTES bounds what a
-# block's columns hold together, six columns at 100k firms; _BLOCK_COLUMNS
-# caps smaller networks, 16 columns at 10k firms.
+# block's columns hold together: six columns at 100k firms, 65 at 10k.
 _BLOCK_BYTES = 32 << 20
-_BLOCK_COLUMNS = 16
 # rows that _column_sup folds into one before reducing along the columns
 _FOLD_ROWS = 64
 
@@ -487,7 +485,7 @@ _FOLD_ROWS = 64
 def _block_width(column_bytes: int, n_scenarios: int) -> int:
     """Columns of the block that steps n_scenarios scenarios, one column
     holding column_bytes (_Engine.column_bytes)."""
-    return min(_BLOCK_COLUMNS, n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
+    return min(n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
 
 
 def _column_sup(d: np.ndarray) -> list[float]:

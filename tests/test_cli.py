@@ -26,7 +26,8 @@ from esri_net import (
     write_essentiality,
     write_network,
 )
-from esri_net.cli import main
+from esri_net.cli import build_parser, main
+from esri_net.propagation import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 from conftest import FIG1
 
@@ -101,6 +102,11 @@ def test_data_errors_exit_3(tmp_path, capsys):
             assert run([*command, "--net", FIG1, "--candidates", cand, "--out", out]) == 3
             assert f"InvalidScenario: {message}" in capsys.readouterr().err
             assert not out.exists(), command
+
+
+def test_propagation_defaults_come_from_the_library():
+    args = build_parser().parse_args(["simulate", "--net", str(FIG1), "--remove", "a", "--out", "x"])
+    assert (args.tol, args.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 def test_validate_prints_report(capsys):

@@ -27,6 +27,7 @@ from esri_net import (
     ew_esri,
     generate,
     propagate,
+    validate,
 )
 from esri_net import indices
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
@@ -161,6 +162,18 @@ def test_total_co2_resolution(fig1_net):
         resolve_total_co2(fig1_net, float("nan"))
     with pytest.raises(ValueError):
         resolve_total_co2(fig1_net, math.inf)
+
+
+def test_validate_reports_the_totals_the_shares_divide_by():
+    # on this network a sum over the whole CO2 column with NaN read as 0
+    # rounds one ulp away from a sum over the known values alone
+    net = generate(SynthParams(600, 3000, n_ets=12, seed=7))
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    table = batch_indices(net, pf, ets, workers=1)
+    report = validate(net)
+    assert report.co2_total_known.hex() == table.total_co2.hex()
+    assert report.ets_co2_total.hex() == table.ets_total_co2.hex()
 
 
 def test_explicit_total_rescales_share(fig1_net, fig1_pf):

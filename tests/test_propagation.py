@@ -516,7 +516,7 @@ def _assert_block_same_as_propagate(net, pf, scenarios, width, **kw):
 def test_block_same_as_propagate_on_a_generated_network(multi_group_model):
     net, pf = multi_group_model
     ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
-    scenarios = [(fid,) for fid in ets[:10]] + [tuple(ets[:k]) for k in (2, 5, 12)] + [()]
+    scenarios = [(fid,) for fid in ets[:20]] + [tuple(ets[:k]) for k in (2, 5, 12)] + [()]
     # one block: each column ends at its own step, so they end in step order
     ended = _assert_block_same_as_propagate(net, pf, scenarios, len(scenarios))
     steps = [eq.iterations for _, eq in ended]
@@ -564,15 +564,17 @@ def test_block_width_rule(multi_group_model):
     net, pf = multi_group_model
     ops = _engine(net, pf)
     assert ops.column_bytes == _column_bytes(net.n_firms, ops.D.shape[0], ops.U.shape[0])
-    # at most 32 MiB of columns and at most 16 columns; the D and U rows are
-    # those of the generated 100k-firm (seed 7) and 10k-firm (seed 5) networks
+    # at most 32 MiB of columns and no more columns than scenarios; the D and
+    # U rows are those of the generated 100k-firm (seed 7) and 10k-firm
+    # (seed 5) networks
     at_100k = _column_bytes(100_000, 149_958, 92_473)
     at_10k = _column_bytes(10_000, 15_169, 9_242)
     assert _block_width(at_100k, 24) == 6
     assert _block_width(at_100k, 4) == 4
-    assert _block_width(at_10k, 24) == 16
+    assert _block_width(at_10k, 200) == 65
+    assert _block_width(at_10k, 24) == 24
     assert _block_width(at_10k, 5) == 5
-    assert _block_width(_column_bytes(5, 5, 4), 64) == 16
+    assert _block_width(_column_bytes(5, 5, 4), 64) == 64
     assert _block_width(_column_bytes(1_000_000, 2_000_000, 1_000_000), 24) == 1
 
 
