@@ -2,7 +2,9 @@
 
 esri weighs production losses 1 - h_i(T) by out-strength shares; ew_esri
 weighs them by employment shares, where firms with unknown employee
-counts are excluded from numerator and denominator alike.  Scenario CO2
+counts are excluded from numerator and denominator alike.  Known totals
+of 0 are the same data error as no data: NoEmploymentData for employment
+and MissingTotal for CO2 without a configured total.  Scenario CO2
 shares count eliminated emissions sum(co2_i * (1 - h_i(T))), i.e. they
 include the partial reductions of firms that are hit but not removed.
 
@@ -23,11 +25,14 @@ per forked worker process, and each worker solves its share as the
 columns of one refilling scenario block (_Engine.results).  The block's
 width is set by the memory one column takes while it steps
 (propagation._block_width): up to six columns at 100k firms and 65 at
-10k.  The pool never has more workers than the host has cores, nor more
-than there are scenarios.  With one worker each scenario goes through
-propagate in this process.  A call keeps what its scenarios share in
-local variables and hands the pool its task through the worker
-initializer, so concurrent one-worker calls are safe.
+10k.  Each channel steps its own columns, and a scenario's column leaves
+a channel at the step whose change in it is exactly 0.0, so a scenario
+whose supply levels no longer move steps only its demand channel; no
+result moves by a bit.  The pool never has more workers than the host
+has cores, nor more than there are scenarios.  With one worker each
+scenario goes through propagate in this process.  A call keeps what its
+scenarios share in local variables and hands the pool its task through
+the worker initializer, so concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -58,11 +63,12 @@ log = logging.getLogger(__name__)
 
 
 class NoEmploymentData(Exception):
-    """Every firm is missing an employee count."""
+    """No firm has an employee count, or the known counts sum to 0."""
 
 
 class MissingTotal(Exception):
-    """No economy-wide CO2 total configured and none derivable from the data."""
+    """No economy-wide CO2 total configured and none derivable from the data:
+    no firm has emission data, or the known emissions sum to 0."""
 
 
 def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
@@ -71,9 +77,17 @@ def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
         if not 0.0 < total_co2 < math.inf:
             raise ValueError(f"total_co2 must be positive and finite, got {total_co2}")
         return float(total_co2)
-    if np.isnan(net.co2_array()).all():
-        raise MissingTotal("no firm has emission data and no economy-wide total configured")
-    return known_co2_total(net)
+    total = known_co2_total(net)
+    if not total > 0.0:
+        raise MissingTotal("no firm has emissions above 0 and no economy-wide total configured")
+    return total
+
+
+def _require_employment(net: ProductionNetwork) -> None:
+    """Raises NoEmploymentData when the known employee counts do not sum
+    above 0, the case in which the engine scores ew_esri as nan."""
+    if not np.nansum(net.employees_array()) > 0.0:
+        raise NoEmploymentData("no firm has an employee count above 0")
 
 
 def ets_total_co2(net: ProductionNetwork) -> float:
@@ -102,8 +116,7 @@ def ew_esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
-    if np.isnan(net.employees_array()).all():
-        raise NoEmploymentData("no firm has an employee count")
+    _require_employment(net)
     return evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][1]
 
 
@@ -217,7 +230,7 @@ def evaluate_scenarios(
     results, in input order, are identical for any worker count.  The pool
     has at most as many workers as the host has cores (os.cpu_count()); a
     larger request is logged at INFO and capped.  ew_esri is nan when no
-    firm has an employee count.
+    firm has an employee count or the known counts sum to 0.
     """
     scenarios = list(scenarios)
     cores = os.cpu_count() or 1
@@ -263,8 +276,7 @@ def batch_indices(
     unknown = [fid for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
-    if np.isnan(net.employees_array()).all():
-        raise NoEmploymentData("no firm has an employee count")
+    _require_employment(net)
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
 

@@ -10,7 +10,10 @@ the reported production level of a firm is h = min(h_d, h_u).
 
 Both channel maps are monotone and start at a state they map downward,
 so levels descend pointwise and the iteration always converges; the loop
-stops once the sup-norm step change falls below tol.
+stops once the sup-norm step change of both channels together falls below
+tol.  Each channel's map reads only that channel's levels, so a channel
+whose step leaves its levels unchanged bit for bit has reached its fixed
+point and stops stepping, its change counting as 0 from then on.
 
 The state is one stacked vector x = [h_d; h_u] of length 2n, and a step
 is two sparse products.  The engine keeps its own firm order in each
@@ -34,26 +37,30 @@ row of D and U sums its terms in ascending firm order: both are built as
 canonical CSR with firm-order columns, which are then renamed in place
 and never sorted again.
 
-The step takes one state of shape (2n,) or a block of states, the
-columns of a C-order (2n, w) array: the products and the glue act on
-each column alone, and removed firms are clamped through flat positions
-into the output.  Each column of a product over a block is bitwise the
-product over that column alone, so a block's equilibria are the same at
-any width, bit for bit; a wider block pays off because a sparse product
-over several columns costs less per column than over one.
+The step is one step per channel.  A channel's step takes its levels
+of one state, shape (n,), or of a block of states, the columns of a
+C-order (n, w) array, and acts on each column alone; removed firms are
+clamped through flat positions into the output.  Each column of a
+product over a block is bitwise the product over that column alone, so
+a block's equilibria are the same at any width, bit for bit; a wider
+block pays off because a sparse product over several columns costs less
+per column than over one.
 
 One _Engine per calibration holds everything a scenario's solve reads:
 the compiled step, the weights that score an equilibrium and the block
-loop, which steps many scenarios at once, one per column.  It is built
-on first use, before any worker process is forked, and cached on the
-calibration; propagate is its block loop with one column.
+loop, which steps many scenarios at once, one per column.  The loop keeps
+one column set per channel, D and its glue stepping the h_d columns and U
+the h_u columns: a scenario's column leaves a channel's set at the step
+whose change in that channel is exactly 0.0, its levels kept in firm
+order, while the scenario steps on in the other channel until it ends.
+It is built on first use, before any worker process is forked, and
+cached on the calibration; propagate is its block loop with one column.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,7 +105,12 @@ class LevelState:
 
 @dataclass(frozen=True)
 class EquilibriumState:
-    """Converged (or iteration-capped) levels plus iteration metadata."""
+    """Converged (or iteration-capped) levels plus iteration metadata.
+
+    iterations_d and iterations_u are the first step at which the
+    downstream (supply) and the upstream (demand) channel's own sup-norm
+    change was at most tol, None if it never was within the run.
+    """
 
     ids: tuple[str, ...]
     h_d: np.ndarray
@@ -107,6 +119,8 @@ class EquilibriumState:
     iterations: int
     max_delta: float
     converged: bool
+    iterations_d: int | None
+    iterations_u: int | None
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -157,11 +171,13 @@ class _Engine:
 
     The step maps a stacked state x = [h_d; h_u] (length 2n) in engine order
     to the next one with two sparse products: the downstream operator D on
-    h_d and the upstream operator U on h_u.  down[i] and up[i] are firm i's
-    positions in h_d and h_u.  Each score is a dot product of weights with
-    the shortfalls 1 - h in firm order: out-strength shares (esri),
-    employment shares over the firms with a known count (ew_esri; emp_known
-    is None when no firm has one) and known emissions (eliminated CO2).
+    h_d (step_down) and the upstream operator U on h_u (step_up).  down[i]
+    and up[i] are firm i's positions in h_d and h_u.  Each score is a dot
+    product of weights with the shortfalls 1 - h in firm order:
+    out-strength shares (esri), employment shares over the firms with a
+    known count (ew_esri; emp_known is None, and ew_esri nan, when no firm
+    has one or the known counts sum to 0) and known emissions (eliminated
+    CO2).
     """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
@@ -233,10 +249,11 @@ class _Engine:
 
         employees = net.employees_array()
         emp_known = ~np.isnan(employees)
+        known_employees = employees[emp_known]
         co2 = net.co2_array()
         self.out_shares = _shares(s_out)
-        self.emp_known = emp_known if emp_known.any() else None
-        self.emp_shares = _shares(employees[emp_known])
+        self.emp_known = emp_known if known_employees.sum() > 0.0 else None
+        self.emp_shares = _shares(known_employees)
         self.co2_known = ~np.isnan(co2)
         self.co2 = co2[self.co2_known]
 
@@ -270,28 +287,33 @@ class _Engine:
         clamped at 0.
         """
         n = self.n
-        avail = self.D @ x[:n]
-        new_d = out[:n]
+        self.step_down(x[:n], out[:n])
+        self.step_up(x[n:], out[n:])
+        out.reshape(-1)[removed] = 0.0
+
+    def step_down(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The downstream channel's update of h_d levels x, (n,) or (n, w), into out; clamps nothing."""
+        avail = self.D @ x
         firms, rows = self.first_slot
-        new_d[: firms.start].fill(1.0)
-        new_d[firms.stop :].fill(1.0)
-        new_d[firms] = avail[rows]
+        out[: firms.start].fill(1.0)
+        out[firms.stop :].fill(1.0)
+        out[firms] = avail[rows]
         for firms, rows in self.later_slots:
-            part = new_d[firms]
+            part = out[firms]
             np.minimum(part, avail[rows], out=part)
         # gamma + (1 - gamma) * nu, in place; + and * commute exactly
         ne_term = avail[self.ne_rows]
         ne_term *= 1.0 - self.gamma
         ne_term += self.gamma
-        part = new_d[self.ne_firms]
+        part = out[self.ne_firms]
         np.minimum(part, ne_term, out=part)
-
         # row sums of D and U are 1 only up to rounding; keep levels in [0, 1]
-        np.clip(new_d, 0.0, 1.0, out=new_d)
-        sellers_end = n + self.n_sellers
-        np.clip(self.U @ x[n:], 0.0, 1.0, out=out[n:sellers_end])
-        out[sellers_end:].fill(1.0)
-        out.reshape(-1)[removed] = 0.0
+        np.clip(out, 0.0, 1.0, out=out)
+
+    def step_up(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The upstream channel's update of h_u levels x, (n,) or (n, w), into out; clamps nothing."""
+        np.clip(self.U @ x, 0.0, 1.0, out=out[: self.n_sellers])
+        out[self.n_sellers :].fill(1.0)
 
     def score(self, h: np.ndarray) -> tuple[float, float, float]:
         """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
@@ -303,19 +325,6 @@ class _Engine:
         """An equilibrium's score with its step count and convergence flag."""
         return (*self.score(eq.h), eq.iterations, eq.converged)
 
-    def equilibrium(self, x: np.ndarray, iterations: int, max_delta: float, tol: float) -> EquilibriumState:
-        """The equilibrium read from a stacked state after its final step."""
-        h_d, h_u = self.levels(x)
-        return EquilibriumState(
-            ids=self.net.ids,
-            h_d=h_d,
-            h_u=h_u,
-            h=np.minimum(h_d, h_u),
-            iterations=iterations,
-            max_delta=max_delta,
-            converged=max_delta <= tol,
-        )
-
     def solve(
         self,
         scenarios: Sequence[ShockScenario | Iterable[str]],
@@ -324,65 +333,102 @@ class _Engine:
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> Iterator[tuple[int, EquilibriumState]]:
         """propagate each scenario, stepping up to width of them (by default
-        _block_width's) as the columns of one state; yields (position in
-        scenarios, equilibrium) as each ends.
+        _block_width's) at once; yields (position in scenarios, equilibrium)
+        as each ends.
 
-        A column ends at the step where its own change reaches tol, or at the
-        cap, and takes the next pending scenario; once none is pending, the
-        ended columns are dropped, the kept ones moving into the spent buffer.
-        Each column of a sparse product over a block is bit-identical to the
-        product over that column alone, and the rest of a step is elementwise,
-        so every equilibrium is the same at any width, bit for bit.
+        Each of the width slots holds one scenario, and each channel steps
+        the slots whose levels in it still move as the columns of one block
+        (_Columns).  A slot's column leaves a channel's block at the step
+        whose change in that channel is exactly 0.0: the channel's map reads
+        only that column's levels in the channel, so every later step would
+        return the same bits again.  Its levels are kept in firm order and
+        its change counts as +0.0 from then on.  A scenario ends at the step
+        where the larger of its two changes reaches tol, or at the cap, and
+        its slot takes the next pending scenario.  Each column of a sparse
+        product over a block is bit-identical to the product over that
+        column alone, and the rest of a step is elementwise, so every
+        equilibrium is the same at any width, bit for bit.
         """
         _check_limits(tol, max_iter)
         if width is None:
             width = _block_width(self.column_bytes, len(scenarios))
         if width < 1:
             raise ValueError(f"block width must be at least 1, got {width}")
+        width = min(width, len(scenarios))
 
         pending = enumerate(scenarios)
-        entering = list(islice(pending, width))
-        owner = [k for k, _ in entering]  # the scenario in each column
-        removed = [self.removed(s) for _, s in entering]  # its removed firms in the state
-        x = np.ones((2 * self.n, len(owner)))
-        for col, r in enumerate(removed):
-            x[r, col] = 0.0
-        out = np.empty_like(x)
+        blocks = (
+            _Columns(self.n, width, self.step_down, self.down),
+            _Columns(self.n, width, self.step_up, self.up),
+        )
+        owner = [None] * width  # the scenario in each slot
         step = 0  # steps taken by the block
-        first = [0] * len(owner)  # steps the block had taken when each column's scenario entered
-        clamp = None
+        first = [0] * width  # steps the block had taken when each slot's scenario entered
+        # per channel: each slot's last step change (+0.0 once its column has
+        # left), its iterations_d or iterations_u, and its levels in firm
+        # order once its column has left
+        change = ([0.0] * width, [0.0] * width)
+        settled = ([None] * width, [None] * width)
+        held = ({}, {})
 
-        while owner:
-            if clamp is None:
-                w = len(owner)
-                clamp = np.concatenate([r * w + col for col, r in enumerate(removed)])
-            self.step(x, clamp, out)
-            step += 1
-            # the old state is spent: it takes the step change, then the next step
-            np.subtract(out, x, out=x)
-            delta = _column_sup(x)
-            x, out = out, x
-            ended = [col for col, d in enumerate(delta) if d <= tol or step - first[col] >= max_iter]
-            if not ended:
-                continue
-            clamp = None
-            for col in ended:
-                yield owner[col], self.equilibrium(x[:, col], step - first[col], delta[col], tol)
+        def enter(slots: Iterable[int]) -> list[tuple[int, np.ndarray]]:
+            """The next pending scenarios into the slots: (slot, removed firms) of each."""
+            entering = []
+            for s in slots:
                 k, scenario = next(pending, (None, None))
-                owner[col] = k
+                owner[s] = k
                 if k is not None:
-                    removed[col] = self.removed(scenario)
-                    x[:, col] = 1.0
-                    x[removed[col], col] = 0.0
-                    first[col] = step
-            keep = [col for col, k in enumerate(owner) if k is not None]
-            if len(keep) < len(owner):
-                spent = _first_columns(out, len(keep))
-                out = _first_columns(x, len(keep))
-                x = np.take(x, keep, axis=1, out=spent)
-                first = [first[col] for col in keep]
-                owner = [owner[col] for col in keep]
-                removed = [removed[col] for col in keep]
+                    entering.append((s, _removed_index(self.net, as_scenario(scenario))))
+                    first[s] = step
+                    settled[0][s] = settled[1][s] = None
+            return entering
+
+        entering = enter(range(width))
+        for block in blocks:
+            block.update([], entering)
+        while any(k is not None for k in owner):
+            step += 1
+            leaving = False  # some column's change is exactly 0.0
+            for block, last, since in zip(blocks, change, settled):
+                if block.slots:
+                    for s, d in zip(block.slots, block.advance().tolist()):
+                        last[s] = d
+                        if since[s] is None and d <= tol:
+                            since[s] = step - first[s]
+                        leaving |= d == 0.0
+            ended = [
+                s
+                for s, k in enumerate(owner)
+                if k is not None and (max(change[0][s], change[1][s]) <= tol or step - first[s] >= max_iter)
+            ]
+            if not (ended or leaving):
+                continue
+            gone = [
+                [col for col, s in enumerate(block.slots) if last[s] == 0.0 or s in ended]
+                for block, last in zip(blocks, change)
+            ]
+            for block, cols, kept in zip(blocks, gone, held):
+                for col in cols:
+                    kept[block.slots[col]] = block.levels(col)
+            for s in ended:
+                h_d, h_u = held[0].pop(s), held[1].pop(s)
+                max_delta = max(change[0][s], change[1][s])
+                yield owner[s], EquilibriumState(
+                    ids=self.net.ids,
+                    h_d=h_d,
+                    h_u=h_u,
+                    h=np.minimum(h_d, h_u),
+                    iterations=step - first[s],
+                    max_delta=max_delta,
+                    converged=max_delta <= tol,
+                    iterations_d=settled[0][s],
+                    iterations_u=settled[1][s],
+                )
+            entering = enter(ended)
+            if all(k is None for k in owner):
+                return
+            for block, cols in zip(blocks, gone):
+                block.update(cols, entering)
 
     def results(
         self, part: Sequence[ShockScenario | Iterable[str]], tol: float, max_iter: int
@@ -392,6 +438,67 @@ class _Engine:
         for k, eq in self.solve(part, tol=tol, max_iter=max_iter):
             results[k] = self.result(eq)
         return results
+
+
+class _Columns:
+    """One channel's columns of a scenario block: the levels in the channel's
+    engine order of the block slots whose levels in that channel still move,
+    as a C-order (n, w) array.  Two buffers sized for the block's width hold
+    the state and the spent state, so w shrinks and grows in place as slots
+    leave and enter."""
+
+    def __init__(self, n: int, width: int, step, order: np.ndarray):
+        self.n = n
+        self.step = step  # the engine's step of the channel
+        self.order = order  # the channel's engine position of each firm
+        self.buffers = [np.empty(n * width), np.empty(n * width)]  # the state's, then the spent one's
+        self.slots: list[int] = []  # the block slot of each column
+        self.removed: list[np.ndarray] = []  # each column's removed firms, positions in the channel
+        self.clamp = np.empty(0, dtype=np.intp)  # their flat positions in the block
+
+    def block(self, buffer: int = 0) -> np.ndarray:
+        w = len(self.slots)
+        return self.buffers[buffer][: self.n * w].reshape(self.n, w)
+
+    def advance(self) -> np.ndarray:
+        """Steps every column; returns each column's sup-norm step change."""
+        x, out = self.block(0), self.block(1)
+        self.step(x, out)
+        out.reshape(-1)[self.clamp] = 0.0
+        # the old state is spent: it takes the step change, then the next step
+        np.subtract(out, x, out=x)
+        self.buffers.reverse()
+        return _column_sup(x)
+
+    def levels(self, col: int) -> np.ndarray:
+        """A column's levels in firm order."""
+        return np.take(self.block()[:, col], self.order)
+
+    def update(self, gone: list[int], entering: list[tuple[int, np.ndarray]]) -> None:
+        """Drops the columns gone and adds a column at full levels for each
+        entering (slot, removed firms), the removed ones at 0: in the gone
+        columns' places when as many enter as leave, otherwise the kept
+        columns move into the spent buffer and the new ones follow them."""
+        removed = [self.order[firms].astype(np.intp) for _, firms in entering]
+        x = self.block()
+        if len(gone) == len(entering):
+            for col, (slot, _), r in zip(gone, entering, removed):
+                self.slots[col] = slot
+                self.removed[col] = r
+                x[:, col] = 1.0
+                x[r, col] = 0.0
+        else:
+            keep = [col for col in range(len(self.slots)) if col not in gone]
+            self.slots = [self.slots[col] for col in keep] + [slot for slot, _ in entering]
+            self.removed = [self.removed[col] for col in keep] + removed
+            new = self.block(1)
+            np.take(x, np.array(keep, dtype=np.intp), axis=1, out=new[:, : len(keep)])
+            new[:, len(keep) :] = 1.0
+            for col, r in enumerate(removed, len(keep)):
+                new[r, col] = 0.0
+            self.buffers.reverse()
+        w = len(self.slots)
+        self.clamp = np.concatenate([r * w + col for col, r in enumerate(self.removed)] or [self.clamp[:0]])
 
 
 def _engine(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Engine:
@@ -488,7 +595,7 @@ def _block_width(column_bytes: int, n_scenarios: int) -> int:
     return min(n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
 
 
-def _column_sup(d: np.ndarray) -> list[float]:
+def _column_sup(d: np.ndarray) -> np.ndarray:
     """Sup norm of each column of a C-order block of step changes.
 
     Levels descend pointwise, exactly in floating point too (every part of
@@ -500,13 +607,8 @@ def _column_sup(d: np.ndarray) -> list[float]:
     """
     rows, w = d.shape
     if w == 1:  # a flat reduction: at 100k firms 0.12 ms a step, folding 0.28 ms
-        return [0.0 - float(d.min(initial=0.0))]
+        return 0.0 - d.reshape(-1).min(initial=0.0, keepdims=True)
     whole = rows - rows % _FOLD_ROWS
     folded = d[:whole].reshape(-1, _FOLD_ROWS * w).min(axis=0, initial=0.0)
-    low = np.minimum(folded.reshape(_FOLD_ROWS, w).min(axis=0), d[whole:].min(axis=0, initial=0.0))
-    return (0.0 - low).tolist()
+    return 0.0 - np.minimum(folded.reshape(_FOLD_ROWS, w).min(axis=0), d[whole:].min(axis=0, initial=0.0))
 
-
-def _first_columns(a: np.ndarray, columns: int) -> np.ndarray:
-    """A C-order (rows, columns) view on the start of block a's buffer."""
-    return a.reshape(-1)[: a.shape[0] * columns].reshape(a.shape[0], columns)

@@ -104,6 +104,18 @@ def test_data_errors_exit_3(tmp_path, capsys):
             assert not out.exists(), command
 
 
+def test_zero_co2_total_exit_3(tmp_path, capsys):
+    net = tmp_path / "net"
+    net.mkdir()
+    (net / "firms.csv").write_text("id,sector,employees,co2,ets_member\na,C10,3,0,1\nb,G46,5,0,0\n")
+    (net / "edges.csv").write_text("supplier_id,buyer_id,weight\na,b,1\n")
+    out = tmp_path / "o"
+    assert run(["esri", "--net", net, "--threads", 1, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "MissingTotal: no firm has emissions above 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_propagation_defaults_come_from_the_library():
     args = build_parser().parse_args(["simulate", "--net", str(FIG1), "--remove", "a", "--out", "x"])
     assert (args.tol, args.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)

@@ -126,6 +126,24 @@ def test_ew_esri_requires_some_employment_data():
         batch_indices(net, pf, ["a"])
 
 
+def test_zero_employment_total_is_no_employment_data():
+    # every known count is 0: the shares have no denominator, as with no counts
+    employees = [0, None, 0]
+    net, pf = tiny_net(
+        [Firm(fid, "G46", employees=e, co2=1.0) for fid, e in zip("abc", employees)],
+        [SupplyEdge("a", "b", 1.0), SupplyEdge("b", "c", 2.0)],
+    )
+    h = propagate(net, pf, ["a"]).h.tolist()
+    assert math.isnan(oracle.dense_ew_esri(employees, h))
+    for workers in (1, 2):
+        (_, ew, _, _, _), = evaluate_scenarios(net, pf, [("a",)], workers=workers)
+        assert math.isnan(ew)
+    with pytest.raises(NoEmploymentData):
+        ew_esri(net, pf, ["a"])
+    with pytest.raises(NoEmploymentData):
+        batch_indices(net, pf, ["a"])
+
+
 def test_indices_match_dense_reference():
     rng = np.random.default_rng(50)
     for _ in range(15):
@@ -162,6 +180,20 @@ def test_total_co2_resolution(fig1_net):
         resolve_total_co2(fig1_net, float("nan"))
     with pytest.raises(ValueError):
         resolve_total_co2(fig1_net, math.inf)
+
+
+def test_zero_co2_total_is_missing():
+    net, pf = tiny_net(
+        [Firm("a", "G46", employees=3, co2=0.0), Firm("b", "G47", employees=5, co2=0.0)],
+        [SupplyEdge("a", "b", 1.0)],
+    )
+    with pytest.raises(MissingTotal):
+        batch_indices(net, pf, ["a", "b"], workers=1)
+    with pytest.raises(MissingTotal):
+        co2_shares(net, pf, ["a"])
+    # a configured total still divides: every share is 0
+    table = batch_indices(net, pf, ["a", "b"], workers=1, total_co2=4.0)
+    assert [r.co2_share_total for r in table.rows] == [0.0, 0.0]
 
 
 def test_validate_reports_the_totals_the_shares_divide_by():

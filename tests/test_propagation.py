@@ -30,7 +30,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import evaluate_scenarios
-from esri_net.propagation import _block_width, _engine
+from esri_net.propagation import DEFAULT_TOL, _block_width, _engine
 
 import oracle
 from conftest import RandomCase
@@ -539,6 +539,85 @@ def test_block_same_as_propagate_on_small_networks(fig1_net, fig1_pf):
         scenarios = [case.scenario_ids(rng) for _ in range(5)]
         _assert_block_same_as_propagate(case.net, pf, scenarios, 2)
         _assert_block_same_as_propagate(case.net, pf, scenarios, 5, tol=1e-13, max_iter=5000)
+
+
+def _count_column_steps(engine, monkeypatch):
+    """Wraps the engine's channel steps on the instance; returns the count of
+    column-steps each has taken, by method name."""
+    counts = {"step_down": 0, "step_up": 0}
+    for name in counts:
+        step = getattr(engine, name)
+
+        def counted(x, out, step=step, name=name):
+            counts[name] += 1 if x.ndim == 1 else x.shape[1]
+            step(x, out)
+
+        monkeypatch.setattr(engine, name, counted)
+    return counts
+
+
+def test_a_channel_leaves_its_block_when_its_step_changes_nothing(fig1_net, fig1_pf, monkeypatch):
+    counts = _count_column_steps(_engine(fig1_net, fig1_pf), monkeypatch)
+    # c has no customers, so no h_d moves after step 1, while h_u settles
+    # through the d-e loop; a has no suppliers, so no h_u moves after step 1
+    eq = propagate(fig1_net, fig1_pf, ("c",))
+    assert counts == {"step_down": 1, "step_up": eq.iterations} and eq.iterations > 2
+    counts.update(step_down=0, step_up=0)
+    eq = propagate(fig1_net, fig1_pf, ("a",))
+    assert counts == {"step_down": eq.iterations, "step_up": 1} and eq.iterations > 1
+    # in a block, slots whose channels have left are refilled and dropped
+    scenarios = [("c",), ("a",), ("d",), ("e",), (), ("c", "e"), ("a", "b")]
+    for width in (1, 2, 3, len(scenarios)):
+        _assert_block_same_as_propagate(fig1_net, fig1_pf, scenarios, width)
+    _assert_block_same_as_propagate(fig1_net, fig1_pf, scenarios, 2, max_iter=2)
+
+
+def test_supply_columns_step_less_than_demand_columns(multi_group_model, monkeypatch):
+    net, pf = multi_group_model
+    engine = _engine(net, pf)
+    counts = _count_column_steps(engine, monkeypatch)
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    steps = sum(eq.iterations for _, eq in engine.solve([(fid,) for fid in ets[:20]]))
+    assert counts["step_down"] < counts["step_up"] <= steps
+
+
+def _settling_steps(net, pf, ids, tol=DEFAULT_TOL, max_iter=1000):
+    """(iterations, iterations_d, iterations_u) of a plain production_step loop."""
+    state = initial_state(net, ids)
+    settled = [None, None]
+    for step in range(1, max_iter + 1):
+        nxt = production_step(state, net, pf, ids)
+        changes = (
+            float(np.max(np.abs(nxt.h_d - state.h_d), initial=0.0)),
+            float(np.max(np.abs(nxt.h_u - state.h_u), initial=0.0)),
+        )
+        settled = [s if s is not None or d > tol else step for s, d in zip(settled, changes)]
+        state = nxt
+        if max(changes) <= tol:
+            break
+    return step, *settled
+
+
+def test_per_channel_steps_match_a_production_step_loop(fig1_net, fig1_pf, multi_group_model):
+    cases = [(fig1_net, fig1_pf, [(), ("a",), ("c",), ("d",), ("e",), ("c", "e")])]
+    rng = np.random.default_rng(53)
+    for _ in range(6):
+        case = RandomCase(rng)
+        cases.append((case.net, case.pf(0.5), [case.scenario_ids(rng) for _ in range(4)]))
+    net, pf = multi_group_model
+    ets = [fid for fid, member in zip(net.ids, net.ets_mask()) if member]
+    cases.append((net, pf, [(fid,) for fid in ets[:3]]))
+    for net, pf, scenarios in cases:
+        for kw in ({}, {"max_iter": 3}):
+            blocked = dict(_engine(net, pf).solve(scenarios, len(scenarios), **kw))
+            for k, ids in enumerate(scenarios):
+                eq = propagate(net, pf, ids, **kw)
+                counts = (eq.iterations, eq.iterations_d, eq.iterations_u)
+                assert counts == _settling_steps(net, pf, ids, **kw)
+                assert (blocked[k].iterations, blocked[k].iterations_d, blocked[k].iterations_u) == counts
+    # the demand channel of ("c",) settles last; capped before it, it has no count
+    eq = propagate(fig1_net, fig1_pf, ("c",), max_iter=3)
+    assert (eq.converged, eq.iterations_d, eq.iterations_u) == (False, 1, None)
 
 
 def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
