@@ -273,7 +273,7 @@ def batch_indices(
     Raises InvalidScenario, naming the ids in input order, before any
     propagation when a candidate is not a firm of the network.
     """
-    unknown = [fid for fid in candidates if fid not in net]
+    unknown = [str(fid) for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
     _require_employment(net)

@@ -15,9 +15,9 @@ tol.  Each channel's map reads only that channel's levels, so a channel
 whose step leaves its levels unchanged bit for bit has reached its fixed
 point and stops stepping, its change counting as 0 from then on.
 
-The state is one stacked vector x = [h_d; h_u] of length 2n, and a step
-is two sparse products.  The engine keeps its own firm order in each
-channel, computed once at compile; propagate and production_step map
+A step is one sparse product per channel.  The engine keeps its own
+firm order in each channel, computed once at compile, and holds each
+channel's levels in that order; propagate and production_step map
 removed firms into it and gather h_d and h_u back into firm order on
 exit.  Downstream, firms are sorted by class, [0 groups, 1 group, ...,
 G groups] without non-essential inputs, then [G, ..., 1, 0 groups] with
@@ -37,14 +37,13 @@ row of D and U sums its terms in ascending firm order: both are built as
 canonical CSR with firm-order columns, which are then renamed in place
 and never sorted again.
 
-The step is one step per channel.  A channel's step takes its levels
-of one state, shape (n,), or of a block of states, the columns of a
-C-order (n, w) array, and acts on each column alone; removed firms are
-clamped through flat positions into the output.  Each column of a
-product over a block is bitwise the product over that column alone, so
-a block's equilibria are the same at any width, bit for bit; a wider
-block pays off because a sparse product over several columns costs less
-per column than over one.
+A channel's step takes its levels of one state, shape (n,), or of a
+block of states, the columns of a C-order (n, w) array, and acts on each
+column alone; its caller clamps the removed firms in the output.  Each
+column of a product over a block is bitwise the product over that column
+alone, so a block's equilibria are the same at any width, bit for bit; a
+wider block pays off because a sparse product over several columns costs
+less per column than over one.
 
 One _Engine per calibration holds everything a scenario's solve reads:
 the compiled step, the weights that score an equilibrium and the block
@@ -169,15 +168,14 @@ class _Engine:
     """One calibrated model's scenario solver: the compiled step, the score
     weights and the block loop.
 
-    The step maps a stacked state x = [h_d; h_u] (length 2n) in engine order
-    to the next one with two sparse products: the downstream operator D on
-    h_d (step_down) and the upstream operator U on h_u (step_up).  down[i]
-    and up[i] are firm i's positions in h_d and h_u.  Each score is a dot
-    product of weights with the shortfalls 1 - h in firm order:
-    out-strength shares (esri), employment shares over the firms with a
-    known count (ew_esri; emp_known is None, and ew_esri nan, when no firm
-    has one or the known counts sum to 0) and known emissions (eliminated
-    CO2).
+    Each channel steps its levels in its own engine order with one sparse
+    product: the downstream operator D on h_d (step_down) and the upstream
+    operator U on h_u (step_up).  down[i] and up[i] are firm i's positions
+    in h_d and h_u.  Each score is a dot product of weights with the
+    shortfalls 1 - h in firm order: out-strength shares (esri), employment
+    shares over the firms with a known count (ew_esri; emp_known is None,
+    and ew_esri nan, when no firm has one or the known counts sum to 0) and
+    known emissions (eliminated CO2).
     """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
@@ -243,8 +241,8 @@ class _Engine:
             shape=(self.n_sellers, n),
         )
         self.U = _renamed(U, self.up)
-        # bytes one scenario-block column holds while it steps: two stacked
-        # states and the outputs of D and U
+        # bytes one scenario-block column holds while it steps: each
+        # channel's two n-float buffers and the outputs of D and U
         self.column_bytes = 8 * (4 * n + self.D.shape[0] + self.n_sellers)
 
         employees = net.employees_array()
@@ -256,40 +254,6 @@ class _Engine:
         self.emp_shares = _shares(known_employees)
         self.co2_known = ~np.isnan(co2)
         self.co2 = co2[self.co2_known]
-
-    def positions(self, firms: np.ndarray) -> np.ndarray:
-        """Positions of the given firms in the stacked state, both channels."""
-        return np.concatenate((self.down[firms], self.up[firms] + np.int32(self.n)))
-
-    def removed(self, scenario: ShockScenario | Iterable[str]) -> np.ndarray:
-        """Positions of the scenario's removed firms in the stacked state."""
-        return self.positions(_removed_index(self.net, as_scenario(scenario))).astype(np.intp)
-
-    def stacked(self, h_d: np.ndarray, h_u: np.ndarray) -> np.ndarray:
-        """Levels in firm order as one stacked state in engine order."""
-        x = np.empty(2 * self.n)
-        # numpy scatters through an intp index about twice as fast as it
-        # scatters through an int32 one, cast included
-        x[: self.n][self.down.astype(np.intp)] = h_d
-        x[self.n :][self.up.astype(np.intp)] = h_u
-        return x
-
-    def levels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(h_d, h_u) in firm order from a stacked state."""
-        return np.take(x[: self.n], self.down), np.take(x[self.n :], self.up)
-
-    def step(self, x: np.ndarray, removed: np.ndarray, out: np.ndarray) -> None:
-        """One synchronous update of the stacked state x into out.
-
-        x is one state (2n,) or a C-order block of states, one per column
-        (2n, w).  removed holds the flat positions of the removed firms in
-        out (from positions; in a block, position * w + column); they stay
-        clamped at 0.
-        """
-        n = self.n
-        self.step_down(x[:n], out[:n])
-        self.step_up(x[n:], out[n:])
-        out.reshape(-1)[removed] = 0.0
 
     def step_down(self, x: np.ndarray, out: np.ndarray) -> None:
         """The downstream channel's update of h_d levels x, (n,) or (n, w), into out; clamps nothing."""
@@ -476,27 +440,21 @@ class _Columns:
 
     def update(self, gone: list[int], entering: list[tuple[int, np.ndarray]]) -> None:
         """Drops the columns gone and adds a column at full levels for each
-        entering (slot, removed firms), the removed ones at 0: in the gone
-        columns' places when as many enter as leave, otherwise the kept
+        entering (slot, removed firms), the removed ones at 0: the kept
         columns move into the spent buffer and the new ones follow them."""
+        if not (gone or entering):
+            return
         removed = [self.order[firms].astype(np.intp) for _, firms in entering]
         x = self.block()
-        if len(gone) == len(entering):
-            for col, (slot, _), r in zip(gone, entering, removed):
-                self.slots[col] = slot
-                self.removed[col] = r
-                x[:, col] = 1.0
-                x[r, col] = 0.0
-        else:
-            keep = [col for col in range(len(self.slots)) if col not in gone]
-            self.slots = [self.slots[col] for col in keep] + [slot for slot, _ in entering]
-            self.removed = [self.removed[col] for col in keep] + removed
-            new = self.block(1)
-            np.take(x, np.array(keep, dtype=np.intp), axis=1, out=new[:, : len(keep)])
-            new[:, len(keep) :] = 1.0
-            for col, r in enumerate(removed, len(keep)):
-                new[r, col] = 0.0
-            self.buffers.reverse()
+        keep = [col for col in range(len(self.slots)) if col not in gone]
+        self.slots = [self.slots[col] for col in keep] + [slot for slot, _ in entering]
+        self.removed = [self.removed[col] for col in keep] + removed
+        new = self.block(1)
+        np.take(x, np.array(keep, dtype=np.intp), axis=1, out=new[:, : len(keep)])
+        new[:, len(keep) :] = 1.0
+        for col, r in enumerate(removed, len(keep)):
+            new[r, col] = 0.0
+        self.buffers.reverse()
         w = len(self.slots)
         self.clamp = np.concatenate([r * w + col for col, r in enumerate(self.removed)] or [self.clamp[:0]])
 
@@ -512,9 +470,9 @@ def _engine(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Engine:
 
 def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
     """Firm indices of the removed firms."""
-    unknown = [fid for fid in scenario.removed if fid not in net]
+    unknown = sorted(str(fid) for fid in scenario.removed if fid not in net)
     if unknown:
-        raise InvalidScenario(f"unknown firm id(s) in scenario: {', '.join(sorted(unknown))}")
+        raise InvalidScenario(f"unknown firm id(s) in scenario: {', '.join(unknown)}")
     return np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
 
 
@@ -537,13 +495,29 @@ def production_step(
 ) -> LevelState:
     """One synchronous update of the given state under the scenario."""
     engine = _engine(net, pf)
-    removed = engine.removed(scenario)
-    x = engine.stacked(state.h_d, state.h_u)
-    x[removed] = 0.0
+    if state.ids is not net.ids and state.ids != net.ids:
+        raise ValueError("level state was built for a different network")
+    firms = _removed_index(net, as_scenario(scenario))
+    return LevelState(
+        ids=net.ids,
+        h_d=_channel_step(engine.step_down, engine.down, state.h_d, firms),
+        h_u=_channel_step(engine.step_up, engine.up, state.h_u, firms),
+    )
+
+
+def _channel_step(step, order: np.ndarray, h: np.ndarray, firms: np.ndarray) -> np.ndarray:
+    """One channel's step of firm-order levels h in its engine order (order:
+    each firm's position), the given firms clamped at 0; returns firm order."""
+    x = np.empty(order.size)
+    # numpy scatters through an intp index about twice as fast as it
+    # scatters through an int32 one, cast included
+    x[order.astype(np.intp)] = h
+    clamp = order[firms]
+    x[clamp] = 0.0
     out = np.empty_like(x)
-    engine.step(x, removed, out)
-    h_d, h_u = engine.levels(out)
-    return LevelState(ids=net.ids, h_d=h_d, h_u=h_u)
+    step(x, out)
+    out[clamp] = 0.0
+    return np.take(out, order)
 
 
 def initial_state(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> LevelState:
@@ -579,8 +553,8 @@ def propagate(
 
 # -- scenario blocks -------------------------------------------------------------
 
-# One block column holds two stacked states (32n bytes) and the D and U
-# product outputs (8 bytes per row of each).  At 100k firms that is 5.1 MB,
+# One block column holds each channel's two n-float buffers (32n bytes)
+# and the D and U product outputs (8 bytes per row of each).  At 100k firms that is 5.1 MB,
 # and a forked worker's peak memory read 113.8, 127.4, 134.9, 158.2 and
 # 181.1 MB at widths 1, 4, 6, 8 and 12.  _BLOCK_BYTES bounds what a
 # block's columns hold together: six columns at 100k firms, 65 at 10k.

@@ -18,6 +18,7 @@ from esri_net import (
     ShockScenario,
     SupplyEdge,
     SynthParams,
+    batch_indices,
     calibrate,
     classify_inputs,
     compute_strengths,
@@ -26,11 +27,12 @@ from esri_net import (
     load_network,
     production_step,
     propagate,
+    run_strategy,
     write_network,
 )
 from esri_net import indices
 from esri_net.indices import evaluate_scenarios
-from esri_net.propagation import DEFAULT_TOL, _block_width, _engine
+from esri_net.propagation import DEFAULT_TOL, _block_width, _Columns, _engine
 
 import oracle
 from conftest import RandomCase
@@ -59,6 +61,21 @@ def test_unknown_ids_rejected(fig1_net, fig1_pf):
         propagate(fig1_net, fig1_pf, ["a", "zz"])
 
 
+def test_non_string_unknown_ids_are_named(fig1_net, fig1_pf):
+    # each id is named by its text: sorted in a scenario, in input order
+    # among batch candidates
+    scenario = r"^unknown firm id\(s\) in scenario: 7, zz$"
+    with pytest.raises(InvalidScenario, match=scenario):
+        propagate(fig1_net, fig1_pf, ["a", "zz", 7])
+    for workers in (1, 2):
+        with pytest.raises(InvalidScenario, match=scenario):
+            evaluate_scenarios(fig1_net, fig1_pf, [("d",), ("a", "zz", 7)], workers=workers)
+    with pytest.raises(InvalidScenario, match=r"^unknown firm id\(s\) in scenario: 7$"):
+        run_strategy(fig1_net, fig1_pf, ["a", 7], 0.5, workers=1)
+    with pytest.raises(InvalidScenario, match=r"^unknown candidate id\(s\): zz, 7$"):
+        batch_indices(fig1_net, fig1_pf, ["a", "zz", 7], workers=1)
+
+
 def test_argument_validation(fig1_net, fig1_pf, fig1_matrix, tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         propagate(fig1_net, fig1_pf, ["a"], tol=0.0)
@@ -84,6 +101,15 @@ def test_argument_validation(fig1_net, fig1_pf, fig1_matrix, tmp_path, monkeypat
         with pytest.raises(ValueError, match=mismatch):
             evaluate_scenarios(fig1_net, copy_pf, [("a",), ("d",)], workers=workers)
     assert contexts == []  # raised before any pool was built
+    # a level state belongs to its network's firm order, held by an equal copy too
+    state = initial_state(fig1_net, ["a"])
+    other = "^level state was built for a different network$"
+    with pytest.raises(ValueError, match=other):
+        production_step(LevelState(state.ids[::-1], state.h_d, state.h_u), fig1_net, fig1_pf, ["a"])
+    with pytest.raises(ValueError, match=other):
+        production_step(LevelState(state.ids[:3], state.h_d[:3], state.h_u[:3]), fig1_net, fig1_pf, ["a"])
+    copied = production_step(LevelState(copy.ids, state.h_d, state.h_u), fig1_net, fig1_pf, ["a"])
+    assert np.array_equal(copied.h, production_step(state, fig1_net, fig1_pf, ["a"]).h)
 
 
 # -- bundled 5-firm example ----------------------------------------------------
@@ -635,7 +661,8 @@ def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
 
 
 def _column_bytes(n_firms, d_rows, u_rows):
-    # two stacked states and the D and U product outputs, 8 bytes a value
+    # each channel's two n-float buffers and the D and U product outputs,
+    # 8 bytes a value
     return 8 * (4 * n_firms + d_rows + u_rows)
 
 
@@ -658,22 +685,20 @@ def test_block_width_rule(multi_group_model):
 
 
 def _assert_descends(net, pf, scenarios, steps):
-    """Steps the scenarios as one block and checks new <= old, element by
-    element, at every step: the step change is never positive."""
+    """Steps the scenarios as one block per channel, as the block loop does,
+    and checks new <= old, element by element, at every step: the spent
+    buffer, which holds the step change new - old, is never positive."""
     ops = _engine(net, pf)
-    w = len(scenarios)
-    x = np.ones((2 * ops.n, w))
-    clamp = []
-    for col, ids in enumerate(scenarios):
-        r = ops.positions(np.array([net.index_of(fid) for fid in ids], dtype=np.int64)).astype(np.intp)
-        x[r, col] = 0.0
-        clamp.append(r * w + col)
-    clamp = np.concatenate(clamp)
-    out = np.empty_like(x)
-    for _ in range(steps):
-        ops.step(x, clamp, out)
-        assert (out <= x).all()
-        x, out = out, x
+    entering = [
+        (slot, np.array([net.index_of(fid) for fid in ids], dtype=np.int64))
+        for slot, ids in enumerate(scenarios)
+    ]
+    for step, order in ((ops.step_down, ops.down), (ops.step_up, ops.up)):
+        columns = _Columns(ops.n, len(scenarios), step, order)
+        columns.update([], entering)
+        for _ in range(steps):
+            columns.advance()
+            assert (columns.block(1) <= 0.0).all()
 
 
 def test_levels_descend_exactly(multi_group_model):
