@@ -245,7 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "iterations": eq.iterations,
         "max_delta": eq.max_delta,
         "converged": eq.converged,
-        "removed": sorted(removed),
+        "removed": sorted(set(removed)),
     })
     _write_audit(out, pf)
     _write_config(out, "simulate", args)

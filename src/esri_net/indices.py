@@ -22,7 +22,8 @@ one propagation per scenario, results in input order, with the weights
 that the calibration's engine (propagation._Engine) built once.  With
 more than one worker it deals the scenarios round-robin into one share
 per forked worker process, and each worker solves its share as the
-columns of one refilling scenario block (_Engine.results).  The block's
+columns of one scenario block (_Engine.results), which the next pending
+scenarios refill as scenarios end, keyed by their position.  The block's
 width is set by the memory one column takes while it steps
 (propagation._block_width): up to six columns at 100k firms and 65 at
 10k.  Each channel steps its own columns, and a scenario's column leaves
@@ -55,7 +56,6 @@ from .propagation import (
     ScenarioResult,
     ShockScenario,
     _engine,
-    as_scenario,
     propagate,
 )
 
@@ -105,7 +105,7 @@ def esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Out-strength-share-weighted production loss of the scenario."""
-    return evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][0]
+    return evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][0]
 
 
 def ew_esri(
@@ -117,7 +117,7 @@ def ew_esri(
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
     _require_employment(net)
-    return evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][1]
+    return evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][1]
 
 
 def co2_shares(
@@ -131,7 +131,7 @@ def co2_shares(
     """Eliminated-emission shares of the economy-wide and ETS totals."""
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
-    eliminated = evaluate_scenarios(net, pf, [as_scenario(scenario).removed], 1, tol, max_iter)[0][2]
+    eliminated = evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][2]
     return eliminated / total, eliminated / ets_total if ets_total > 0.0 else 0.0
 
 

@@ -47,11 +47,12 @@ less per column than over one.
 
 One _Engine per calibration holds everything a scenario's solve reads:
 the compiled step, the weights that score an equilibrium and the block
-loop, which steps many scenarios at once, one per column.  The loop keeps
-one column set per channel, D and its glue stepping the h_d columns and U
-the h_u columns: a scenario's column leaves a channel's set at the step
-whose change in that channel is exactly 0.0, its levels kept in firm
-order, while the scenario steps on in the other channel until it ends.
+loop, which steps many scenarios at once, one per column, and keeps one
+record per live scenario, keyed by its position.  Each channel has its own
+column set, D and its glue stepping the h_d columns and U the h_u columns:
+a scenario's column leaves a channel's set at the step whose change in it
+is exactly 0.0, its levels kept in firm order, while the scenario steps on
+in the other channel until it ends and pending scenarios take its place.
 It is built on first use, before any worker process is forked, and
 cached on the calibration; propagate is its block loop with one column.
 """
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -300,23 +302,23 @@ class _Engine:
         _block_width's) at once; yields (position in scenarios, equilibrium)
         as each ends.
 
-        Each of the width slots holds one scenario, and each channel steps
-        the slots whose levels in it still move as the columns of one block
-        (_Columns).  A slot's column leaves a channel's block at the step
-        whose change in that channel is exactly 0.0: the channel's map reads
-        only that column's levels in the channel, so every later step would
-        return the same bits again.  Its levels are kept in firm order and
-        its change counts as +0.0 from then on.  A scenario ends at the step
-        where the larger of its two changes reaches tol, or at the cap, and
-        its slot takes the next pending scenario.  Each column of a sparse
-        product over a block is bit-identical to the product over that
-        column alone, and the rest of a step is elementwise, so every
+        Each live scenario has one record (_Live), keyed by its position, and
+        each channel steps the live scenarios whose levels in it still move as
+        the columns of one block (_Columns).  A scenario's column leaves a
+        channel's block at the step whose change in that channel is exactly 0.0:
+        the channel's map reads only that column's levels in the channel, so
+        every later step would return the same bits again.  Its levels are kept
+        in firm order and its change counts as +0.0 from then on.  A scenario
+        ends at the step where the larger of its two changes reaches tol, or at
+        the cap, and pending scenarios refill the block to width.  Each column
+        of a sparse product over a block is bit-identical to the product over
+        that column alone, and the rest of a step is elementwise, so every
         equilibrium is the same at any width, bit for bit.
         """
         _check_limits(tol, max_iter)
         if width is None:
             width = _block_width(self.column_bytes, len(scenarios))
-        if width < 1:
+        elif width < 1:
             raise ValueError(f"block width must be at least 1, got {width}")
         width = min(width, len(scenarios))
 
@@ -325,74 +327,56 @@ class _Engine:
             _Columns(self.n, width, self.step_down, self.down),
             _Columns(self.n, width, self.step_up, self.up),
         )
-        owner = [None] * width  # the scenario in each slot
+        live: dict[int, _Live] = {}
+        gone = ([], [])  # per channel, the columns that leave before the next step
         step = 0  # steps taken by the block
-        first = [0] * width  # steps the block had taken when each slot's scenario entered
-        # per channel: each slot's last step change (+0.0 once its column has
-        # left), its iterations_d or iterations_u, and its levels in firm
-        # order once its column has left
-        change = ([0.0] * width, [0.0] * width)
-        settled = ([None] * width, [None] * width)
-        held = ({}, {})
-
-        def enter(slots: Iterable[int]) -> list[tuple[int, np.ndarray]]:
-            """The next pending scenarios into the slots: (slot, removed firms) of each."""
+        while True:
             entering = []
-            for s in slots:
-                k, scenario = next(pending, (None, None))
-                owner[s] = k
-                if k is not None:
-                    entering.append((s, _removed_index(self.net, as_scenario(scenario))))
-                    first[s] = step
-                    settled[0][s] = settled[1][s] = None
-            return entering
-
-        entering = enter(range(width))
-        for block in blocks:
-            block.update([], entering)
-        while any(k is not None for k in owner):
-            step += 1
-            leaving = False  # some column's change is exactly 0.0
-            for block, last, since in zip(blocks, change, settled):
-                if block.slots:
-                    for s, d in zip(block.slots, block.advance().tolist()):
-                        last[s] = d
-                        if since[s] is None and d <= tol:
-                            since[s] = step - first[s]
-                        leaving |= d == 0.0
-            ended = [
-                s
-                for s, k in enumerate(owner)
-                if k is not None and (max(change[0][s], change[1][s]) <= tol or step - first[s] >= max_iter)
-            ]
-            if not (ended or leaving):
-                continue
-            gone = [
-                [col for col, s in enumerate(block.slots) if last[s] == 0.0 or s in ended]
-                for block, last in zip(blocks, change)
-            ]
-            for block, cols, kept in zip(blocks, gone, held):
-                for col in cols:
-                    kept[block.slots[col]] = block.levels(col)
-            for s in ended:
-                h_d, h_u = held[0].pop(s), held[1].pop(s)
-                max_delta = max(change[0][s], change[1][s])
-                yield owner[s], EquilibriumState(
+            for k, scenario in islice(pending, width - len(live)):
+                entering.append((k, _removed_index(self.net, as_scenario(scenario))))
+                live[k] = _Live(step)
+            if not live:
+                return
+            for block, cols in zip(blocks, gone):
+                block.update(cols, entering)
+            ended, leaving = [], False  # leaving: some column's change is exactly 0.0
+            while not (ended or leaving):
+                step += 1
+                for c, block in enumerate(blocks):
+                    if block.keys:
+                        for k, d in zip(block.keys, block.advance().tolist()):
+                            record = live[k]
+                            record.change[c] = d
+                            if record.settled[c] is None and d <= tol:
+                                record.settled[c] = step - record.first
+                            leaving |= d == 0.0
+                ended = [
+                    k
+                    for k, record in live.items()
+                    if max(record.change) <= tol or step - record.first >= max_iter
+                ]
+            gone = ([], [])
+            for c, block in enumerate(blocks):
+                for col, k in enumerate(block.keys):
+                    record = live[k]
+                    if record.change[c] == 0.0 or k in ended:
+                        record.held[c] = block.levels(col)
+                        gone[c].append(col)
+            for k in ended:
+                record = live.pop(k)
+                h_d, h_u = record.held
+                max_delta = max(record.change)
+                yield k, EquilibriumState(
                     ids=self.net.ids,
                     h_d=h_d,
                     h_u=h_u,
                     h=np.minimum(h_d, h_u),
-                    iterations=step - first[s],
+                    iterations=step - record.first,
                     max_delta=max_delta,
                     converged=max_delta <= tol,
-                    iterations_d=settled[0][s],
-                    iterations_u=settled[1][s],
+                    iterations_d=record.settled[0],
+                    iterations_u=record.settled[1],
                 )
-            entering = enter(ended)
-            if all(k is None for k in owner):
-                return
-            for block, cols in zip(blocks, gone):
-                block.update(cols, entering)
 
     def results(
         self, part: Sequence[ShockScenario | Iterable[str]], tol: float, max_iter: int
@@ -404,24 +388,37 @@ class _Engine:
         return results
 
 
+class _Live:
+    """A live scenario of a block: the step the block had taken when it
+    entered and, per channel, its last step change (+0.0 once its column
+    has left), its iterations_d or iterations_u, and its levels in firm
+    order once its column has left."""
+
+    def __init__(self, first: int):
+        self.first = first
+        self.change = [0.0, 0.0]
+        self.settled: list[int | None] = [None, None]
+        self.held: list[np.ndarray | None] = [None, None]
+
+
 class _Columns:
     """One channel's columns of a scenario block: the levels in the channel's
-    engine order of the block slots whose levels in that channel still move,
-    as a C-order (n, w) array.  Two buffers sized for the block's width hold
-    the state and the spent state, so w shrinks and grows in place as slots
-    leave and enter."""
+    engine order of the live scenarios whose levels in that channel still
+    move, as a C-order (n, w) array.  Two buffers sized for the block's
+    width hold the state and the spent state, so w shrinks and grows in
+    place as scenarios leave and enter."""
 
     def __init__(self, n: int, width: int, step, order: np.ndarray):
         self.n = n
         self.step = step  # the engine's step of the channel
         self.order = order  # the channel's engine position of each firm
         self.buffers = [np.empty(n * width), np.empty(n * width)]  # the state's, then the spent one's
-        self.slots: list[int] = []  # the block slot of each column
+        self.keys: list[int] = []  # the scenario position of each column
         self.removed: list[np.ndarray] = []  # each column's removed firms, positions in the channel
         self.clamp = np.empty(0, dtype=np.intp)  # their flat positions in the block
 
     def block(self, buffer: int = 0) -> np.ndarray:
-        w = len(self.slots)
+        w = len(self.keys)
         return self.buffers[buffer][: self.n * w].reshape(self.n, w)
 
     def advance(self) -> np.ndarray:
@@ -440,14 +437,15 @@ class _Columns:
 
     def update(self, gone: list[int], entering: list[tuple[int, np.ndarray]]) -> None:
         """Drops the columns gone and adds a column at full levels for each
-        entering (slot, removed firms), the removed ones at 0: the kept
-        columns move into the spent buffer and the new ones follow them."""
+        entering (scenario position, removed firms), the removed ones at 0:
+        the kept columns move into the spent buffer and the new ones follow
+        them."""
         if not (gone or entering):
             return
         removed = [self.order[firms].astype(np.intp) for _, firms in entering]
         x = self.block()
-        keep = [col for col in range(len(self.slots)) if col not in gone]
-        self.slots = [self.slots[col] for col in keep] + [slot for slot, _ in entering]
+        keep = [col for col in range(len(self.keys)) if col not in gone]
+        self.keys = [self.keys[col] for col in keep] + [k for k, _ in entering]
         self.removed = [self.removed[col] for col in keep] + removed
         new = self.block(1)
         np.take(x, np.array(keep, dtype=np.intp), axis=1, out=new[:, : len(keep)])
@@ -455,7 +453,7 @@ class _Columns:
         for col, r in enumerate(removed, len(keep)):
             new[r, col] = 0.0
         self.buffers.reverse()
-        w = len(self.slots)
+        w = len(self.keys)
         self.clamp = np.concatenate([r * w + col for col, r in enumerate(self.removed)] or [self.clamp[:0]])
 
 
@@ -495,7 +493,8 @@ def production_step(
 ) -> LevelState:
     """One synchronous update of the given state under the scenario."""
     engine = _engine(net, pf)
-    if state.ids is not net.ids and state.ids != net.ids:
+    same_ids = state.ids is net.ids or state.ids == net.ids  # identity first: no O(n) compare
+    if not (same_ids and np.shape(state.h_d) == np.shape(state.h_u) == (net.n_firms,)):
         raise ValueError("level state was built for a different network")
     firms = _removed_index(net, as_scenario(scenario))
     return LevelState(

@@ -258,11 +258,13 @@ def test_audit_bytes_match_a_csv_writer_reference(tmp_path):
 
 def test_simulate_removal_file(tmp_path):
     removal = tmp_path / "ids.txt"
-    removal.write_text("a\nb\n")
     out = tmp_path / "sim"
-    assert run(["simulate", "--net", FIG1, "--remove", removal, "--out", out]) == 0
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["removed"] == ["a", "b"]
+    # a repeated id is removed, and listed, once
+    for text in ("a\nb\n", "a\nb\na\n"):
+        removal.write_text(text)
+        assert run(["simulate", "--net", FIG1, "--remove", removal, "--out", out]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["removed"] == ["a", "b"]
 
 
 # -- esri ---------------------------------------------------------------------------

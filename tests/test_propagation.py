@@ -32,7 +32,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import evaluate_scenarios
-from esri_net.propagation import DEFAULT_TOL, _block_width, _Columns, _engine
+from esri_net.propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _block_width, _Columns, _engine
 
 import oracle
 from conftest import RandomCase
@@ -108,6 +108,10 @@ def test_argument_validation(fig1_net, fig1_pf, fig1_matrix, tmp_path, monkeypat
         production_step(LevelState(state.ids[::-1], state.h_d, state.h_u), fig1_net, fig1_pf, ["a"])
     with pytest.raises(ValueError, match=other):
         production_step(LevelState(state.ids[:3], state.h_d[:3], state.h_u[:3]), fig1_net, fig1_pf, ["a"])
+    with pytest.raises(ValueError, match=other):
+        production_step(LevelState(state.ids, state.h_d[:3], state.h_u), fig1_net, fig1_pf, ["a"])
+    with pytest.raises(ValueError, match=other):
+        production_step(LevelState(state.ids, state.h_d, state.h_u[:3]), fig1_net, fig1_pf, ["a"])
     copied = production_step(LevelState(copy.ids, state.h_d, state.h_u), fig1_net, fig1_pf, ["a"])
     assert np.array_equal(copied.h, production_step(state, fig1_net, fig1_pf, ["a"]).h)
 
@@ -556,7 +560,8 @@ def test_block_same_as_propagate_on_a_generated_network(multi_group_model):
 
 
 def test_block_same_as_propagate_on_small_networks(fig1_net, fig1_pf):
-    _assert_block_same_as_propagate(fig1_net, fig1_pf, [(), ("d",), ("a", "b"), tuple("abcde")], 3)
+    # ("d",) twice: two live records with the same removed firms
+    _assert_block_same_as_propagate(fig1_net, fig1_pf, [(), ("d",), ("a", "b"), ("d",), tuple("abcde")], 3)
     _assert_block_same_as_propagate(fig1_net, fig1_pf, [("d",), ("c", "e"), ()], 2, max_iter=1)
     rng = np.random.default_rng(50)
     for _ in range(10):
@@ -658,6 +663,9 @@ def test_block_rejects_what_propagate_rejects(fig1_net, fig1_pf):
     for width in (0, -3):
         with pytest.raises(ValueError, match=f"got {width}$"):
             list(_engine(fig1_net, fig1_pf).solve([("a",)], width))
+    # no scenarios: nothing to step, nothing yielded
+    assert list(_engine(fig1_net, fig1_pf).solve([])) == []
+    assert _engine(fig1_net, fig1_pf).results([], DEFAULT_TOL, DEFAULT_MAX_ITER) == []
 
 
 def _column_bytes(n_firms, d_rows, u_rows):
