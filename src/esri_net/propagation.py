@@ -80,12 +80,13 @@ class InvalidScenario(Exception):
 
 @dataclass(frozen=True)
 class ShockScenario:
-    """Set of firms removed from the network at the start of the shock."""
+    """Set of firms removed from the network at the start of the shock; a
+    lone string is one firm id, not an iterable of characters."""
 
     removed: frozenset[str]
 
     def __init__(self, removed: Iterable[str] = ()):
-        object.__setattr__(self, "removed", frozenset(removed))
+        object.__setattr__(self, "removed", frozenset([removed] if isinstance(removed, str) else removed))
 
     def __len__(self) -> int:
         return len(self.removed)
@@ -310,10 +311,13 @@ class _Engine:
         every later step would return the same bits again.  Its levels are kept
         in firm order and its change counts as +0.0 from then on.  A scenario
         ends at the step where the larger of its two changes reaches tol, or at
-        the cap, and pending scenarios refill the block to width.  Each column
-        of a sparse product over a block is bit-identical to the product over
-        that column alone, and the rest of a step is elementwise, so every
-        equilibrium is the same at any width, bit for bit.
+        the cap, and pending scenarios refill the block to width.  Each step is
+        one pass: refill the block and drop the columns that left, step both
+        channels, test each scenario for its end, then scan the columns once
+        for those that leave or end.  Each column of a sparse product over a
+        block is bit-identical to the product over that column alone, and the
+        rest of a step is elementwise, so every equilibrium is the same at any
+        width, bit for bit.
         """
         _check_limits(tol, max_iter)
         if width is None:
@@ -339,22 +343,19 @@ class _Engine:
                 return
             for block, cols in zip(blocks, gone):
                 block.update(cols, entering)
-            ended, leaving = [], False  # leaving: some column's change is exactly 0.0
-            while not (ended or leaving):
-                step += 1
-                for c, block in enumerate(blocks):
-                    if block.keys:
-                        for k, d in zip(block.keys, block.advance().tolist()):
-                            record = live[k]
-                            record.change[c] = d
-                            if record.settled[c] is None and d <= tol:
-                                record.settled[c] = step - record.first
-                            leaving |= d == 0.0
-                ended = [
-                    k
-                    for k, record in live.items()
-                    if max(record.change) <= tol or step - record.first >= max_iter
-                ]
+            step += 1
+            for c, block in enumerate(blocks):
+                if block.keys:
+                    for k, d in zip(block.keys, block.advance().tolist()):
+                        record = live[k]
+                        record.change[c] = d
+                        if record.settled[c] is None and d <= tol:
+                            record.settled[c] = step - record.first
+            ended = [
+                k
+                for k, record in live.items()
+                if max(record.change) <= tol or step - record.first >= max_iter
+            ]
             gone = ([], [])
             for c, block in enumerate(blocks):
                 for col, k in enumerate(block.keys):
@@ -475,11 +476,7 @@ def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarra
 
 
 def as_scenario(scenario: ShockScenario | Iterable[str]) -> ShockScenario:
-    if isinstance(scenario, ShockScenario):
-        return scenario
-    if isinstance(scenario, str):  # a lone firm id, not an iterable of characters
-        return ShockScenario([scenario])
-    return ShockScenario(scenario)
+    return scenario if isinstance(scenario, ShockScenario) else ShockScenario(scenario)
 
 
 # -- public operations ---------------------------------------------------------
@@ -564,8 +561,8 @@ _FOLD_ROWS = 64
 
 def _block_width(column_bytes: int, n_scenarios: int) -> int:
     """Columns of the block that steps n_scenarios scenarios, one column
-    holding column_bytes (_Engine.column_bytes)."""
-    return min(n_scenarios, max(1, _BLOCK_BYTES // column_bytes))
+    holding column_bytes (_Engine.column_bytes, 0 on a network without firms)."""
+    return min(n_scenarios, max(1, _BLOCK_BYTES // max(1, column_bytes)))
 
 
 def _column_sup(d: np.ndarray) -> np.ndarray:

@@ -93,6 +93,17 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert code == 3
     assert "InvalidScenario" in capsys.readouterr().err
 
+    # a network with no firms loads, and no scenario on it names a known firm
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "firms.csv").write_text("id,sector,employees,co2,ets_member\n")
+    (empty / "edges.csv").write_text("supplier_id,buyer_id,weight\n")
+    assert run(["validate", "--net", empty]) == 0
+    capsys.readouterr()
+    assert run(["simulate", "--net", empty, "--remove", "x", "--out", tmp_path / "e"]) == 3
+    err = capsys.readouterr().err
+    assert "InvalidScenario: unknown firm id(s) in scenario: x" in err and "Traceback" not in err
+
     # strategy curves need every candidate known and listed once; esri warns and skips
     cand, out = tmp_path / "cand.txt", tmp_path / "curve"
     for ids, message in (("d\nzz\na\n", "unknown candidate id(s): zz"),

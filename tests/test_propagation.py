@@ -54,6 +54,10 @@ def test_string_scenario_is_one_firm(fig1_net, fig1_pf):
     assert eq.of("d") == 0.0
     with pytest.raises(InvalidScenario):
         propagate(fig1_net, fig1_pf, "nope")
+    # the scenario itself reads a lone string as one id, not as firms a and b
+    assert ShockScenario("ab").removed == frozenset({"ab"})
+    with pytest.raises(InvalidScenario, match=r"in scenario: ab$"):
+        propagate(fig1_net, fig1_pf, ShockScenario("ab"))
 
 
 def test_unknown_ids_rejected(fig1_net, fig1_pf):
@@ -251,6 +255,15 @@ def test_isolated_firm_is_untouched():
     eq = propagate(net, pf, ["a"])
     assert eq.of("x") == 1.0
     assert eq.of("b") < 1.0
+
+
+def test_empty_network():
+    net = ProductionNetwork([], [])
+    pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+    eq = propagate(net, pf, ())
+    assert eq.converged and eq.ids == () and eq.h.shape == (0,)
+    with pytest.raises(InvalidScenario, match=r"in scenario: x$"):
+        propagate(net, pf, ["x"])
 
 
 # -- agreement with the dense reference ----------------------------------------
