@@ -56,6 +56,7 @@ from .propagation import (
     ScenarioResult,
     ShockScenario,
     _engine,
+    _firm_ids,
     propagate,
 )
 
@@ -229,9 +230,12 @@ def evaluate_scenarios(
     engine.  Both give every scenario propagate's result bit for bit, so
     results, in input order, are identical for any worker count.  The pool
     has at most as many workers as the host has cores (os.cpu_count()); a
-    larger request is logged at INFO and capped.  ew_esri is nan when no
-    firm has an employee count or the known counts sum to 0.
+    larger request is logged at INFO and capped, and fewer than 1 is a
+    ValueError.  ew_esri is nan when no firm has an employee count or the
+    known counts sum to 0.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     scenarios = list(scenarios)
     cores = os.cpu_count() or 1
     n_workers = workers if workers is not None else cores
@@ -268,11 +272,12 @@ def batch_indices(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> IndexTable:
-    """Single-firm-removal indices for every candidate, in input order.
+    """Single-firm-removal indices for every candidate (a lone string is one), in input order.
 
     Raises InvalidScenario, naming the ids in input order, before any
     propagation when a candidate is not a firm of the network.
     """
+    candidates = _firm_ids(candidates)
     unknown = [str(fid) for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")

@@ -17,9 +17,11 @@ point and stops stepping, its change counting as 0 from then on.
 
 A step is one sparse product per channel.  The engine keeps its own
 firm order in each channel, computed once at compile, and holds each
-channel's levels in that order; propagate and production_step map
-removed firms into it and gather h_d and h_u back into firm order on
-exit.  Downstream, firms are sorted by class, [0 groups, 1 group, ...,
+channel's levels in that order.  A column enters a channel's block with
+its start levels (all ones for propagate, the given state for
+production_step, one step of a one-column block) scattered into that
+order, removed firms at 0, and leaves in firm order on exit.
+Downstream, firms are sorted by class, [0 groups, 1 group, ...,
 G groups] without non-essential inputs, then [G, ..., 1, 0 groups] with
 them, so the firms with more than k essential groups and the firms with
 non-essential inputs each form one range.  The downstream operator D
@@ -37,13 +39,12 @@ row of D and U sums its terms in ascending firm order: both are built as
 canonical CSR with firm-order columns, which are then renamed in place
 and never sorted again.
 
-A channel's step takes its levels of one state, shape (n,), or of a
-block of states, the columns of a C-order (n, w) array, and acts on each
-column alone; its caller clamps the removed firms in the output.  Each
-column of a product over a block is bitwise the product over that column
-alone, so a block's equilibria are the same at any width, bit for bit; a
-wider block pays off because a sparse product over several columns costs
-less per column than over one.
+A channel's step takes its levels of a block of states, the columns of
+a C-order (n, w) array, and acts on each column alone; its caller clamps
+the removed firms in the output.  Each column of a product over a block
+is bitwise the product over that column alone, so a block's equilibria
+are the same at any width, bit for bit; a wider block pays off because a
+sparse product over several columns costs less per column than over one.
 
 One _Engine per calibration holds everything a scenario's solve reads:
 the compiled step, the weights that score an equilibrium and the block
@@ -86,7 +87,7 @@ class ShockScenario:
     removed: frozenset[str]
 
     def __init__(self, removed: Iterable[str] = ()):
-        object.__setattr__(self, "removed", frozenset([removed] if isinstance(removed, str) else removed))
+        object.__setattr__(self, "removed", frozenset(_firm_ids(removed)))
 
     def __len__(self) -> int:
         return len(self.removed)
@@ -259,7 +260,7 @@ class _Engine:
         self.co2 = co2[self.co2_known]
 
     def step_down(self, x: np.ndarray, out: np.ndarray) -> None:
-        """The downstream channel's update of h_d levels x, (n,) or (n, w), into out; clamps nothing."""
+        """The downstream channel's update of the (n, w) h_d levels x into out; clamps nothing."""
         avail = self.D @ x
         firms, rows = self.first_slot
         out[: firms.start].fill(1.0)
@@ -278,9 +279,13 @@ class _Engine:
         np.clip(out, 0.0, 1.0, out=out)
 
     def step_up(self, x: np.ndarray, out: np.ndarray) -> None:
-        """The upstream channel's update of h_u levels x, (n,) or (n, w), into out; clamps nothing."""
+        """The upstream channel's update of the (n, w) h_u levels x into out; clamps nothing."""
         np.clip(self.U @ x, 0.0, 1.0, out=out[: self.n_sellers])
         out[self.n_sellers :].fill(1.0)
+
+    def channels(self, width: int) -> tuple[_Columns, _Columns]:
+        """Empty column blocks of up to width columns: h_d's, then h_u's."""
+        return _Columns(width, self.step_down, self.down), _Columns(width, self.step_up, self.up)
 
     def score(self, h: np.ndarray) -> tuple[float, float, float]:
         """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
@@ -327,17 +332,14 @@ class _Engine:
         width = min(width, len(scenarios))
 
         pending = enumerate(scenarios)
-        blocks = (
-            _Columns(self.n, width, self.step_down, self.down),
-            _Columns(self.n, width, self.step_up, self.up),
-        )
+        blocks = self.channels(width)
         live: dict[int, _Live] = {}
         gone = ([], [])  # per channel, the columns that leave before the next step
         step = 0  # steps taken by the block
         while True:
             entering = []
             for k, scenario in islice(pending, width - len(live)):
-                entering.append((k, _removed_index(self.net, as_scenario(scenario))))
+                entering.append((k, _removed_index(self.net, as_scenario(scenario)), 1.0))
                 live[k] = _Live(step)
             if not live:
                 return
@@ -407,12 +409,13 @@ class _Columns:
     engine order of the live scenarios whose levels in that channel still
     move, as a C-order (n, w) array.  Two buffers sized for the block's
     width hold the state and the spent state, so w shrinks and grows in
-    place as scenarios leave and enter."""
+    place as scenarios leave and enter.  A column enters with its start
+    levels in firm order and leaves with its levels in firm order."""
 
-    def __init__(self, n: int, width: int, step, order: np.ndarray):
-        self.n = n
+    def __init__(self, width: int, step, order: np.ndarray):
+        self.n = n = order.size
         self.step = step  # the engine's step of the channel
-        self.order = order  # the channel's engine position of each firm
+        self.order = order.astype(np.intp)  # each firm's engine position; intp scatters fastest
         self.buffers = [np.empty(n * width), np.empty(n * width)]  # the state's, then the spent one's
         self.keys: list[int] = []  # the scenario position of each column
         self.removed: list[np.ndarray] = []  # each column's removed firms, positions in the channel
@@ -436,22 +439,23 @@ class _Columns:
         """A column's levels in firm order."""
         return np.take(self.block()[:, col], self.order)
 
-    def update(self, gone: list[int], entering: list[tuple[int, np.ndarray]]) -> None:
-        """Drops the columns gone and adds a column at full levels for each
-        entering (scenario position, removed firms), the removed ones at 0:
-        the kept columns move into the spent buffer and the new ones follow
-        them."""
+    def update(self, gone: list[int], entering: list[tuple[int, np.ndarray, float | np.ndarray]]) -> None:
+        """Drops the columns gone and adds a column for each entering
+        (scenario position, removed firms, start levels): the start levels,
+        a scalar or n levels in firm order, scattered into the channel's
+        engine order, the removed firms at 0.  The kept columns move into
+        the spent buffer and the new ones follow them."""
         if not (gone or entering):
             return
-        removed = [self.order[firms].astype(np.intp) for _, firms in entering]
+        removed = [self.order[firms] for _, firms, _ in entering]
         x = self.block()
         keep = [col for col in range(len(self.keys)) if col not in gone]
-        self.keys = [self.keys[col] for col in keep] + [k for k, _ in entering]
+        self.keys = [self.keys[col] for col in keep] + [k for k, _, _ in entering]
         self.removed = [self.removed[col] for col in keep] + removed
         new = self.block(1)
         np.take(x, np.array(keep, dtype=np.intp), axis=1, out=new[:, : len(keep)])
-        new[:, len(keep) :] = 1.0
-        for col, r in enumerate(removed, len(keep)):
+        for col, ((_, _, start), r) in enumerate(zip(entering, removed), len(keep)):
+            new[self.order, col] = start
             new[r, col] = 0.0
         self.buffers.reverse()
         w = len(self.keys)
@@ -475,6 +479,11 @@ def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarra
     return np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
 
 
+def _firm_ids(ids):
+    """ids, a lone string read as one firm id rather than its characters."""
+    return (ids,) if isinstance(ids, str) else ids
+
+
 def as_scenario(scenario: ShockScenario | Iterable[str]) -> ShockScenario:
     return scenario if isinstance(scenario, ShockScenario) else ShockScenario(scenario)
 
@@ -494,26 +503,11 @@ def production_step(
     if not (same_ids and np.shape(state.h_d) == np.shape(state.h_u) == (net.n_firms,)):
         raise ValueError("level state was built for a different network")
     firms = _removed_index(net, as_scenario(scenario))
-    return LevelState(
-        ids=net.ids,
-        h_d=_channel_step(engine.step_down, engine.down, state.h_d, firms),
-        h_u=_channel_step(engine.step_up, engine.up, state.h_u, firms),
-    )
-
-
-def _channel_step(step, order: np.ndarray, h: np.ndarray, firms: np.ndarray) -> np.ndarray:
-    """One channel's step of firm-order levels h in its engine order (order:
-    each firm's position), the given firms clamped at 0; returns firm order."""
-    x = np.empty(order.size)
-    # numpy scatters through an intp index about twice as fast as it
-    # scatters through an int32 one, cast included
-    x[order.astype(np.intp)] = h
-    clamp = order[firms]
-    x[clamp] = 0.0
-    out = np.empty_like(x)
-    step(x, out)
-    out[clamp] = 0.0
-    return np.take(out, order)
+    h_d, h_u = engine.channels(1)
+    for columns, start in ((h_d, state.h_d), (h_u, state.h_u)):
+        columns.update([], [(0, firms, start)])
+        columns.advance()
+    return LevelState(ids=net.ids, h_d=h_d.levels(0), h_u=h_u.levels(0))
 
 
 def initial_state(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> LevelState:

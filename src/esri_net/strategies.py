@@ -30,7 +30,7 @@ import numpy as np
 from .calibration import ProductionFunctionSet
 from .indices import IndexTable, ScenarioResult, evaluate_scenarios, resolve_total_co2
 from .network import ProductionNetwork
-from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _firm_ids
 
 log = logging.getLogger(__name__)
 
@@ -196,10 +196,10 @@ def run_strategy(
     ordering stays below it, the curve is returned with benchmark_rank
     None (logged, not raised).  A one-firm prefix reuses the result in
     table, if given, when the table was solved with this pf, tol and
-    max_iter; the curve is the same either way.
+    max_iter; the curve is the same either way.  A lone string is one id.
     """
     [curve] = _curves(
-        net, pf, [ordering], [heuristic], target, table, workers, total_co2, tol, max_iter
+        net, pf, [_firm_ids(ordering)], [heuristic], target, table, workers, total_co2, tol, max_iter
     )
     return curve
 

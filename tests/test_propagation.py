@@ -32,7 +32,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import evaluate_scenarios
-from esri_net.propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _block_width, _Columns, _engine
+from esri_net.propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _block_width, _engine
 
 import oracle
 from conftest import RandomCase
@@ -49,7 +49,7 @@ def test_scenario_deduplicates_and_sorts():
     assert len(ShockScenario()) == 0
 
 
-def test_string_scenario_is_one_firm(fig1_net, fig1_pf):
+def test_string_scenario_is_one_firm(fig1_net, fig1_pf, multi_group_model):
     eq = propagate(fig1_net, fig1_pf, "d")
     assert eq.of("d") == 0.0
     with pytest.raises(InvalidScenario):
@@ -58,6 +58,16 @@ def test_string_scenario_is_one_firm(fig1_net, fig1_pf):
     assert ShockScenario("ab").removed == frozenset({"ab"})
     with pytest.raises(InvalidScenario, match=r"in scenario: ab$"):
         propagate(fig1_net, fig1_pf, ShockScenario("ab"))
+    # so do batch candidates and a strategy's ordering: "de" is not firms d and e
+    with pytest.raises(InvalidScenario, match=r"^unknown candidate id\(s\): de$"):
+        batch_indices(fig1_net, fig1_pf, "de", workers=1)
+    with pytest.raises(InvalidScenario, match=r"^unknown firm id\(s\) in scenario: de$"):
+        run_strategy(fig1_net, fig1_pf, "de", 0.5, workers=1)
+    net, pf = multi_group_model
+    fid = net.ids[16]
+    assert len(fid) > 1
+    assert batch_indices(net, pf, fid, workers=1) == batch_indices(net, pf, [fid], workers=1)
+    assert run_strategy(net, pf, fid, 0.5, workers=1) == run_strategy(net, pf, [fid], 0.5, workers=1)
 
 
 def test_unknown_ids_rejected(fig1_net, fig1_pf):
@@ -103,6 +113,9 @@ def test_argument_validation(fig1_net, fig1_pf, fig1_matrix, tmp_path, monkeypat
         production_step(initial_state(fig1_net, ["a"]), fig1_net, copy_pf, ["a"])
     for workers in (1, 2):
         with pytest.raises(ValueError, match=mismatch):
+            evaluate_scenarios(fig1_net, copy_pf, [("a",), ("d",)], workers=workers)
+    for workers in (0, -1):  # checked before the engine, which copy_pf would refuse
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
             evaluate_scenarios(fig1_net, copy_pf, [("a",), ("d",)], workers=workers)
     assert contexts == []  # raised before any pool was built
     # a level state belongs to its network's firm order, held by an equal copy too
@@ -444,7 +457,10 @@ def test_production_step_matches_reference_from_a_mixed_state(multi_group_model)
     ids = tuple(f.id for f in net.firms if f.ets_member)[:4]
     h_d = rng.uniform(0.0, 1.0, net.n_firms)
     h_u = rng.uniform(0.0, 1.0, net.n_firms)
+    given = h_d.copy(), h_u.copy()
     nxt = production_step(LevelState(net.ids, h_d, h_u), net, pf, ids)
+    # the given state is read, never written, removed firms included
+    assert np.array_equal(h_d, given[0]) and np.array_equal(h_u, given[1])
     removed = _reference_mask(net, ids)
     ref_d, ref_u = _ReferenceStep(net, pf).step(
         np.where(removed, 0.0, h_d), np.where(removed, 0.0, h_u), removed
@@ -711,11 +727,10 @@ def _assert_descends(net, pf, scenarios, steps):
     buffer, which holds the step change new - old, is never positive."""
     ops = _engine(net, pf)
     entering = [
-        (slot, np.array([net.index_of(fid) for fid in ids], dtype=np.int64))
+        (slot, np.array([net.index_of(fid) for fid in ids], dtype=np.int64), 1.0)
         for slot, ids in enumerate(scenarios)
     ]
-    for step, order in ((ops.step_down, ops.down), (ops.step_up, ops.up)):
-        columns = _Columns(ops.n, len(scenarios), step, order)
+    for columns in ops.channels(len(scenarios)):
         columns.update([], entering)
         for _ in range(steps):
             columns.advance()
