@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
-from .indices import IndexTable, MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
+from .indices import MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
 from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, InvalidScenario, propagate
@@ -147,31 +147,9 @@ def _removal_ids(spec: str) -> list[str]:
     return [fid.strip() for fid in spec.split(",") if fid.strip()]
 
 
-def _index_table(
-    args: argparse.Namespace,
-    net: ProductionNetwork,
-    pf: ProductionFunctionSet,
-    candidates: list[str],
-) -> IndexTable:
-    return batch_indices(
-        net, pf, candidates,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter,
-    )
-
-
-def _curves(
-    args: argparse.Namespace,
-    net: ProductionNetwork,
-    pf: ProductionFunctionSet,
-    table: IndexTable,
-    heuristics: list[Heuristic],
-) -> list[StrategyCurve]:
-    return run_heuristics(
-        net, pf, table, heuristics, args.target,
-        workers=args.threads, total_co2=args.total_co2,
-        tol=args.tol, max_iter=args.max_iter,
-    )
+def _solver_options(args: argparse.Namespace) -> dict:
+    """The options that batch_indices and run_heuristics take from the command line."""
+    return {"workers": args.threads, "total_co2": args.total_co2, "tol": args.tol, "max_iter": args.max_iter}
 
 
 def _write_curve(path: Path, curve: StrategyCurve) -> None:
@@ -264,7 +242,7 @@ def _cmd_esri(args: argparse.Namespace) -> int:
     pf = _calibrated(args, net)
     candidates = list(dict.fromkeys(_candidates(args, net)))  # first occurrences, in order
     bad = [fid for fid in candidates if fid not in net]
-    table = _index_table(args, net, pf, [fid for fid in candidates if fid in net])
+    table = batch_indices(net, pf, [fid for fid in candidates if fid in net], **_solver_options(args))
     if bad:
         print(f"warning: {len(bad)} candidate(s) failed: {', '.join(bad[:5])}", file=sys.stderr)
     out = Path(args.out)
@@ -287,8 +265,8 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
     heuristic = Heuristic(args.heuristic)
-    table = _index_table(args, net, pf, _curve_candidates(args, net))
-    [curve] = _curves(args, net, pf, table, [heuristic])
+    table = batch_indices(net, pf, _curve_candidates(args, net), **_solver_options(args))
+    [curve] = run_heuristics(net, pf, table, [heuristic], args.target, **_solver_options(args))
     summary = curve.summary()
     out = Path(args.out)
     _write_curve(out / "curve.csv", curve)
@@ -318,7 +296,7 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
             raise MissingUpstream("fit-regimes needs --indices or --net")
         net = _load_net(args)
         pf = _calibrated(args, net)
-        table = _index_table(args, net, pf, _ets_ids(net))
+        table = batch_indices(net, pf, _ets_ids(net), **_solver_options(args))
         ratios = table.finite_ratios_descending()
     fit = fit_rank_regimes(ratios, hi=args.hi, lo=args.lo)
     payload = {
@@ -370,7 +348,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise MissingUpstream("no candidate firms to report on (is any firm an ETS member?)")
     out = Path(args.out)
 
-    table = _index_table(args, net, pf, candidates)
+    table = batch_indices(net, pf, candidates, **_solver_options(args))
     _write_csv(
         out / "scatter_co2_vs_ew_esri.csv",
         ("firm_id", "sector", "ew_esri", "co2_share_total", "co2_share_ets"),
@@ -382,7 +360,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
 
     by_emissions = sorted(table.rows, key=lambda r: (-r.co2_share_total, r.firm_id))
-    for curve in _curves(args, net, pf, table, list(Heuristic)):
+    for curve in run_heuristics(net, pf, table, Heuristic, args.target, **_solver_options(args)):
         _write_curve(out / f"strategy_curve_{curve.heuristic.value}.csv", curve)
         removed_at_benchmark = {p.firm_id for p in curve.points[: curve.benchmark_rank or 0]}
         _write_csv(

@@ -23,17 +23,14 @@ that the calibration's engine (propagation._Engine) built once.  With
 more than one worker it deals the scenarios round-robin into one share
 per forked worker process, and each worker solves its share as the
 columns of one scenario block (_Engine.results), which the next pending
-scenarios refill as scenarios end, keyed by their position.  The block's
-width is set by the memory one column takes while it steps
-(propagation._block_width): up to six columns at 100k firms and 65 at
-10k.  Each channel steps its own columns, and a scenario's column leaves
-a channel at the step whose change in it is exactly 0.0, so a scenario
-whose supply levels no longer move steps only its demand channel; no
-result moves by a bit.  The pool never has more workers than the host
-has cores, nor more than there are scenarios.  With one worker each
-scenario goes through propagate in this process.  A call keeps what its
-scenarios share in local variables and hands the pool its task through
-the worker initializer, so concurrent one-worker calls are safe.
+scenarios refill as scenarios end, keyed by their position.  How wide a
+block is and when a column leaves it are stated once, in
+propagation._Engine.solve and README *Parallelism*.  The pool never has
+more workers than the host has cores, nor more than there are
+scenarios.  With one worker each scenario goes through propagate in this
+process.  A call keeps what its scenarios share in local variables and
+hands the pool its task through the worker initializer, so concurrent
+one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -220,12 +217,14 @@ def evaluate_scenarios(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[ScenarioResult]:
-    """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per scenario.
+    """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per
+    scenario (a lone string is one one-firm scenario).
 
     Scenarios are independent.  With more than one worker they are dealt
     round-robin into one share per worker, and each forked worker solves
     its share as the columns of one scenario block, refilled as columns
-    end (propagation._Engine.results); otherwise each scenario
+    end (propagation._Engine.results, whose rules are stated in
+    _Engine.solve and README *Parallelism*); otherwise each scenario
     goes through propagate in this process and is scored by the same
     engine.  Both give every scenario propagate's result bit for bit, so
     results, in input order, are identical for any worker count.  The pool
@@ -236,7 +235,7 @@ def evaluate_scenarios(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scenarios = list(scenarios)
+    scenarios = list(_firm_ids(scenarios))
     cores = os.cpu_count() or 1
     n_workers = workers if workers is not None else cores
     if n_workers > cores:
@@ -261,6 +260,14 @@ def evaluate_scenarios(
                 results[j::n_workers] = part
             return results
     return [engine.result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
+
+
+def _log_capped(logger: logging.Logger, what: str, capped: list[str]) -> None:
+    """Warns on logger how many of what hit the iteration cap, naming the first five."""
+    if capped:
+        logger.warning(
+            "%d %s hit the iteration cap before tol: %s", len(capped), what, ", ".join(capped[:5])
+        )
 
 
 def batch_indices(
@@ -306,12 +313,7 @@ def batch_indices(
                 ratio=_ratio(share_total, ew_v),
             )
         )
-    if not_converged:
-        log.warning(
-            "%d candidate scenario(s) hit the iteration cap before tol: %s",
-            len(not_converged),
-            ", ".join(not_converged[:5]),
-        )
+    _log_capped(log, "candidate scenario(s)", not_converged)
     return IndexTable(
         rows=tuple(rows), total_co2=total, ets_total_co2=ets_total,
         results=tuple(results), pf=pf, tol=tol, max_iter=max_iter,

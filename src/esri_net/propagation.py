@@ -185,7 +185,6 @@ class _Engine:
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
         n = net.n_firms
         self.net = net
-        self.n = n
         self.gamma = pf.gamma
 
         # downstream order: a firm with g essential groups has key g, or
@@ -339,7 +338,7 @@ class _Engine:
         while True:
             entering = []
             for k, scenario in islice(pending, width - len(live)):
-                entering.append((k, _removed_index(self.net, as_scenario(scenario)), 1.0))
+                entering.append((k, _removed_index(self.net, scenario), 1.0))
                 live[k] = _Live(step)
             if not live:
                 return
@@ -471,21 +470,18 @@ def _engine(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Engine:
     return pf._engine
 
 
-def _removed_index(net: ProductionNetwork, scenario: ShockScenario) -> np.ndarray:
-    """Firm indices of the removed firms."""
-    unknown = sorted(str(fid) for fid in scenario.removed if fid not in net)
+def _removed_index(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> np.ndarray:
+    """Firm indices of the removed firms, ids read as ShockScenario reads them."""
+    removed = scenario.removed if isinstance(scenario, ShockScenario) else ShockScenario(scenario).removed
+    unknown = sorted(str(fid) for fid in removed if fid not in net)
     if unknown:
         raise InvalidScenario(f"unknown firm id(s) in scenario: {', '.join(unknown)}")
-    return np.fromiter(map(net.index_of, scenario.removed), dtype=np.int64, count=len(scenario))
+    return np.fromiter(map(net.index_of, removed), dtype=np.int64, count=len(removed))
 
 
 def _firm_ids(ids):
     """ids, a lone string read as one firm id rather than its characters."""
     return (ids,) if isinstance(ids, str) else ids
-
-
-def as_scenario(scenario: ShockScenario | Iterable[str]) -> ShockScenario:
-    return scenario if isinstance(scenario, ShockScenario) else ShockScenario(scenario)
 
 
 # -- public operations ---------------------------------------------------------
@@ -502,7 +498,7 @@ def production_step(
     same_ids = state.ids is net.ids or state.ids == net.ids  # identity first: no O(n) compare
     if not (same_ids and np.shape(state.h_d) == np.shape(state.h_u) == (net.n_firms,)):
         raise ValueError("level state was built for a different network")
-    firms = _removed_index(net, as_scenario(scenario))
+    firms = _removed_index(net, scenario)
     h_d, h_u = engine.channels(1)
     for columns, start in ((h_d, state.h_d), (h_u, state.h_u)):
         columns.update([], [(0, firms, start)])
@@ -513,7 +509,7 @@ def production_step(
 def initial_state(net: ProductionNetwork, scenario: ShockScenario | Iterable[str]) -> LevelState:
     """All firms at full production except removed ones clamped to 0."""
     h = np.ones(net.n_firms)
-    h[_removed_index(net, as_scenario(scenario))] = 0.0
+    h[_removed_index(net, scenario)] = 0.0
     return LevelState(ids=net.ids, h_d=h, h_u=h.copy())
 
 

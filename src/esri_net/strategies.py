@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calibration import ProductionFunctionSet
-from .indices import IndexTable, ScenarioResult, evaluate_scenarios, resolve_total_co2
+from .indices import IndexTable, ScenarioResult, _log_capped, evaluate_scenarios, resolve_total_co2
 from .network import ProductionNetwork
 from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _firm_ids
 
@@ -118,12 +118,7 @@ def _curve(
         # float-noise guard on the threshold comparison only
         if benchmark is None and saved >= target - 1e-12:
             benchmark = rank
-    if not_converged:
-        log.warning(
-            "%d curve prefix(es) hit the iteration cap before tol: %s",
-            len(not_converged),
-            ", ".join(not_converged[:5]),
-        )
+    _log_capped(log, "curve prefix(es)", not_converged)
     if benchmark is None:
         achieved = points[-1].cum_co2_saved if points else 0.0
         log.warning(

@@ -283,6 +283,9 @@ def test_nonconverged_rows_keep_values(fig1_net, fig1_pf, caplog):
     d = table.row("d")
     assert all(math.isfinite(v) for v in (d.esri, d.ew_esri, d.co2_share_total, d.ratio))
     assert any("iteration cap" in r.getMessage() for r in caplog.records)
+    [capped] = [r for r in caplog.records if "iteration cap" in r.getMessage()]
+    assert capped.getMessage() == "1 candidate scenario(s) hit the iteration cap before tol: d"
+    assert capped.name == "esri_net.indices"
 
 
 # -- parallel evaluation ----------------------------------------------------------
@@ -409,3 +412,18 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
         fig1_net, fig1_pf, many, workers=1
     )
     assert dealt == [[0, 1]]
+
+
+def test_no_fork_falls_back_to_one_worker(fig1_net, fig1_pf, monkeypatch, caplog):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    scenarios = [tuple(c) for k in range(1, 4) for c in itertools.combinations("abcde", k)]
+    expected = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1)
+    monkeypatch.setattr(indices.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    with caplog.at_level("WARNING", logger="esri_net.indices"):
+        got = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=2)
+    assert repr(got) == repr(expected)  # repr tells every float bit apart, -0.0 from 0.0 too
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "fork unavailable" in warnings[0].getMessage()

@@ -63,11 +63,19 @@ def test_string_scenario_is_one_firm(fig1_net, fig1_pf, multi_group_model):
         batch_indices(fig1_net, fig1_pf, "de", workers=1)
     with pytest.raises(InvalidScenario, match=r"^unknown firm id\(s\) in scenario: de$"):
         run_strategy(fig1_net, fig1_pf, "de", 0.5, workers=1)
+    # and a scenario list: "de" is one scenario, not the scenarios {d} and {e}
+    for workers in (1, 2):
+        with pytest.raises(InvalidScenario, match=r"in scenario: de$"):
+            evaluate_scenarios(fig1_net, fig1_pf, "de", workers=workers)
     net, pf = multi_group_model
     fid = net.ids[16]
     assert len(fid) > 1
     assert batch_indices(net, pf, fid, workers=1) == batch_indices(net, pf, [fid], workers=1)
     assert run_strategy(net, pf, fid, 0.5, workers=1) == run_strategy(net, pf, [fid], 0.5, workers=1)
+    for workers in (1, 2):
+        assert evaluate_scenarios(net, pf, fid, workers=workers) == evaluate_scenarios(
+            net, pf, [(fid,)], workers=workers
+        )
 
 
 def test_unknown_ids_rejected(fig1_net, fig1_pf):

@@ -120,6 +120,7 @@ def test_capped_prefixes_log_their_ranks(fig1_net, fig1_pf, caplog):
     assert len(capped) == 1
     assert "3 curve prefix(es)" in capped[0]
     assert "rank 1 (d), rank 2 (a), rank 3 (c)" in capped[0]
+    assert [r.name for r in caplog.records if "iteration cap" in r.getMessage()] == ["esri_net.strategies"]
 
 
 def test_ordering_validation(fig1_net, fig1_pf):
