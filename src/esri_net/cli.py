@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -28,7 +29,8 @@ from .indices import MissingTotal, NoEmploymentData, _finite_positive_descending
 from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, InvalidScenario, propagate
-from .strategies import Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, run_heuristics
+from .strategies import (Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, rank_firms,
+                         run_heuristics)
 from .synth import InfeasibleParams, SynthParams, essentiality_rows, generate, write_essentiality
 
 log = logging.getLogger(__name__)
@@ -273,12 +275,6 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     _write_json(out / "summary.json", summary)
     _write_audit(out, pf)
     _write_config(out, "strategy", args)
-    if curve.benchmark_rank is None:
-        print(
-            f"warning: target {args.target} unreachable; max savings "
-            f"{curve.points[-1].cum_co2_saved if curve.points else 0.0:.4f}",
-            file=sys.stderr,
-        )
     print(
         f"{heuristic.value}: target {args.target} -> "
         f"firms_removed={summary['firms_removed']} "
@@ -299,11 +295,7 @@ def _cmd_fit_regimes(args: argparse.Namespace) -> int:
         table = batch_indices(net, pf, _ets_ids(net), **_solver_options(args))
         ratios = table.finite_ratios_descending()
     fit = fit_rank_regimes(ratios, hi=args.hi, lo=args.lo)
-    payload = {
-        "lambda1": fit.lambda1, "lambda2": fit.lambda2,
-        "r2_1": fit.r2_1, "r2_2": fit.r2_2,
-        "n1": fit.n1, "n2": fit.n2,
-    }
+    payload = dataclasses.asdict(fit)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out is not None:
         out = Path(args.out)
@@ -359,7 +351,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ],
     )
 
-    by_emissions = sorted(table.rows, key=lambda r: (-r.co2_share_total, r.firm_id))
+    by_emissions = [table.row(fid) for fid in rank_firms(table, Heuristic.LARGEST_EMITTERS_FIRST)]
     for curve in run_heuristics(net, pf, table, Heuristic, args.target, **_solver_options(args)):
         _write_curve(out / f"strategy_curve_{curve.heuristic.value}.csv", curve)
         removed_at_benchmark = {p.firm_id for p in curve.points[: curve.benchmark_rank or 0]}

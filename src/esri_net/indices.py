@@ -81,10 +81,9 @@ def resolve_total_co2(net: ProductionNetwork, total_co2: float | None) -> float:
     return total
 
 
-def _require_employment(net: ProductionNetwork) -> None:
-    """Raises NoEmploymentData when the known employee counts do not sum
-    above 0, the case in which the engine scores ew_esri as nan."""
-    if not np.nansum(net.employees_array()) > 0.0:
+def _require_employment(net: ProductionNetwork, pf: ProductionFunctionSet) -> None:
+    """Raises NoEmploymentData when the engine scores ew_esri as nan."""
+    if _engine(net, pf).emp_known is None:
         raise NoEmploymentData("no firm has an employee count above 0")
 
 
@@ -114,7 +113,7 @@ def ew_esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
-    _require_employment(net)
+    _require_employment(net, pf)
     return evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][1]
 
 
@@ -288,7 +287,7 @@ def batch_indices(
     unknown = [str(fid) for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")
-    _require_employment(net)
+    _require_employment(net, pf)
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
 

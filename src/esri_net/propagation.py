@@ -39,23 +39,11 @@ row of D and U sums its terms in ascending firm order: both are built as
 canonical CSR with firm-order columns, which are then renamed in place
 and never sorted again.
 
-A channel's step takes its levels of a block of states, the columns of
-a C-order (n, w) array, and acts on each column alone; its caller clamps
-the removed firms in the output.  Each column of a product over a block
-is bitwise the product over that column alone, so a block's equilibria
-are the same at any width, bit for bit; a wider block pays off because a
-sparse product over several columns costs less per column than over one.
-
-One _Engine per calibration holds everything a scenario's solve reads:
-the compiled step, the weights that score an equilibrium and the block
-loop, which steps many scenarios at once, one per column, and keeps one
-record per live scenario, keyed by its position.  Each channel has its own
-column set, D and its glue stepping the h_d columns and U the h_u columns:
-a scenario's column leaves a channel's set at the step whose change in it
-is exactly 0.0, its levels kept in firm order, while the scenario steps on
-in the other channel until it ends and pending scenarios take its place.
-It is built on first use, before any worker process is forked, and
-cached on the calibration; propagate is its block loop with one column.
+One _Engine per calibration, built on first use and cached on it, holds
+what a scenario's solve reads; propagate is its block loop with one
+column.  How the loop steps many scenarios as the columns of one block,
+and why each equilibrium is the same bits at any width, is stated once,
+in _Engine.solve and _Columns.
 """
 from __future__ import annotations
 
@@ -101,29 +89,9 @@ class LevelState:
     h_d: np.ndarray
     h_u: np.ndarray
 
-    @property
+    @cached_property
     def h(self) -> np.ndarray:
         return np.minimum(self.h_d, self.h_u)
-
-
-@dataclass(frozen=True)
-class EquilibriumState:
-    """Converged (or iteration-capped) levels plus iteration metadata.
-
-    iterations_d and iterations_u are the first step at which the
-    downstream (supply) and the upstream (demand) channel's own sup-norm
-    change was at most tol, None if it never was within the run.
-    """
-
-    ids: tuple[str, ...]
-    h_d: np.ndarray
-    h_u: np.ndarray
-    h: np.ndarray
-    iterations: int
-    max_delta: float
-    converged: bool
-    iterations_d: int | None
-    iterations_u: int | None
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -134,6 +102,22 @@ class EquilibriumState:
             return float(self.h[self._position[firm_id]])
         except KeyError:
             raise ValueError(f"unknown firm id {firm_id!r}") from None
+
+
+@dataclass(frozen=True)
+class EquilibriumState(LevelState):
+    """Converged (or iteration-capped) levels plus iteration metadata.
+
+    iterations_d and iterations_u are the first step at which the
+    downstream (supply) and the upstream (demand) channel's own sup-norm
+    change was at most tol, None if it never was within the run.
+    """
+
+    iterations: int
+    max_delta: float
+    converged: bool
+    iterations_d: int | None
+    iterations_u: int | None
 
 
 # One scenario's score: (esri, ew_esri, eliminated_co2, iterations, converged).
@@ -212,9 +196,11 @@ class _Engine:
             slots.append((slice(lo, hi), slice(row, row + hi - lo)))
             shift.append(row - lo)
             row += hi - lo
-        self.first_slot, *self.later_slots = slots
-        self.ne_firms = slice(ne_start, n)
         self.ne_rows = slice(n_groups, n_groups + n - ne_start)
+        # each later term is an in-place minimum: the later slots, then the
+        # non-essential term of the has_ne firms
+        self.first_slot, *self.later_terms = slots
+        self.later_terms.append((slice(ne_start, n), self.ne_rows))
 
         slot = np.arange(n_groups) - pf.firm_group_ptr[owner]
         group_row = np.asarray(shift, dtype=np.int32)[slot] + self.down[owner]
@@ -261,19 +247,17 @@ class _Engine:
     def step_down(self, x: np.ndarray, out: np.ndarray) -> None:
         """The downstream channel's update of the (n, w) h_d levels x into out; clamps nothing."""
         avail = self.D @ x
-        firms, rows = self.first_slot
-        out[: firms.start].fill(1.0)
-        out[firms.stop :].fill(1.0)
-        out[firms] = avail[rows]
-        for firms, rows in self.later_slots:
-            part = out[firms]
-            np.minimum(part, avail[rows], out=part)
         # gamma + (1 - gamma) * nu, in place; + and * commute exactly
         ne_term = avail[self.ne_rows]
         ne_term *= 1.0 - self.gamma
         ne_term += self.gamma
-        part = out[self.ne_firms]
-        np.minimum(part, ne_term, out=part)
+        firms, rows = self.first_slot
+        out[: firms.start].fill(1.0)
+        out[firms.stop :].fill(1.0)
+        out[firms] = avail[rows]
+        for firms, rows in self.later_terms:
+            part = out[firms]
+            np.minimum(part, avail[rows], out=part)
         # row sums of D and U are 1 only up to rounding; keep levels in [0, 1]
         np.clip(out, 0.0, 1.0, out=out)
 
@@ -333,7 +317,7 @@ class _Engine:
         pending = enumerate(scenarios)
         blocks = self.channels(width)
         live: dict[int, _Live] = {}
-        gone = ([], [])  # per channel, the columns that leave before the next step
+        gone = (set(), set())  # per channel, the columns that leave before the next step
         step = 0  # steps taken by the block
         while True:
             entering = []
@@ -357,13 +341,14 @@ class _Engine:
                 for k, record in live.items()
                 if max(record.change) <= tol or step - record.first >= max_iter
             ]
-            gone = ([], [])
+            ending = set(ended)
+            gone = (set(), set())
             for c, block in enumerate(blocks):
                 for col, k in enumerate(block.keys):
                     record = live[k]
-                    if record.change[c] == 0.0 or k in ended:
+                    if record.change[c] == 0.0 or k in ending:
                         record.held[c] = block.levels(col)
-                        gone[c].append(col)
+                        gone[c].add(col)
             for k in ended:
                 record = live.pop(k)
                 h_d, h_u = record.held
@@ -372,7 +357,6 @@ class _Engine:
                     ids=self.net.ids,
                     h_d=h_d,
                     h_u=h_u,
-                    h=np.minimum(h_d, h_u),
                     iterations=step - record.first,
                     max_delta=max_delta,
                     converged=max_delta <= tol,
@@ -438,7 +422,7 @@ class _Columns:
         """A column's levels in firm order."""
         return np.take(self.block()[:, col], self.order)
 
-    def update(self, gone: list[int], entering: list[tuple[int, np.ndarray, float | np.ndarray]]) -> None:
+    def update(self, gone: set[int], entering: list[tuple[int, np.ndarray, float | np.ndarray]]) -> None:
         """Drops the columns gone and adds a column for each entering
         (scenario position, removed firms, start levels): the start levels,
         a scalar or n levels in firm order, scattered into the channel's
@@ -458,7 +442,9 @@ class _Columns:
             new[r, col] = 0.0
         self.buffers.reverse()
         w = len(self.keys)
-        self.clamp = np.concatenate([r * w + col for col, r in enumerate(self.removed)] or [self.clamp[:0]])
+        self.clamp = np.concatenate([self.clamp[:0], *self.removed]) * w + np.repeat(
+            np.arange(w), [r.size for r in self.removed]
+        )
 
 
 def _engine(net: ProductionNetwork, pf: ProductionFunctionSet) -> _Engine:
@@ -501,7 +487,7 @@ def production_step(
     firms = _removed_index(net, scenario)
     h_d, h_u = engine.channels(1)
     for columns, start in ((h_d, state.h_d), (h_u, state.h_u)):
-        columns.update([], [(0, firms, start)])
+        columns.update(set(), [(0, firms, start)])
         columns.advance()
     return LevelState(ids=net.ids, h_d=h_d.levels(0), h_u=h_u.levels(0))
 

@@ -46,6 +46,9 @@ def test_from_csv_schema_errors(tmp_path):
     p.write_text("supplier_sector,buyer_sector,essential\nD35,C25,1\nD35,C25,0\n")
     with pytest.raises(SchemaError, match=r"^ess\.csv row 3: repeated sector pair"):
         EssentialityMatrix.from_csv(p)
+    p.write_text("supplier_sector,buyer_sector,essential\nD35,C25,1\nD35, ,1\n")
+    with pytest.raises(SchemaError, match=r"^ess\.csv row 3: empty sector code$"):
+        EssentialityMatrix.from_csv(p)
     with pytest.raises(MissingFile, match="^missing input file: "):
         EssentialityMatrix.from_csv(tmp_path / "none.csv")
 

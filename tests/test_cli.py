@@ -63,6 +63,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["esri", "--total-co2", "inf"],
         ["esri", "--threads", "0"],
         ["esri", "--threads", "-1"],
+        ["esri", "--gamma", "2"],
         ["fit-regimes", "--hi", "5", "--lo", "10"],
     ):
         capsys.readouterr()
@@ -92,6 +93,13 @@ def test_data_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "InvalidScenario" in capsys.readouterr().err
+
+    missing = tmp_path / "missing.txt"
+    assert run(["esri", "--net", FIG1, "--candidates", missing, "--out", tmp_path / "o"]) == 3
+    assert f"InvalidScenario: candidate file not found: {missing}" in capsys.readouterr().err
+    assert run(["fit-regimes", "--indices", missing]) == 3
+    assert "MissingUpstream: indices file not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
     # a network with no firms loads, and no scenario on it names a known firm
     empty = tmp_path / "empty"
@@ -222,7 +230,7 @@ def test_synth_infeasible_params_exit_3(tmp_path, capsys):
 # -- simulate -----------------------------------------------------------------------
 
 
-def test_simulate_matches_library(tmp_path, fig1_net, fig1_pf):
+def test_simulate_matches_library(tmp_path, fig1_net, fig1_pf, capsys):
     out = tmp_path / "sim"
     code = run(
         ["simulate", "--net", FIG1, "--gamma", 0, "--remove", "d", "--out", out]
@@ -239,6 +247,11 @@ def test_simulate_matches_library(tmp_path, fig1_net, fig1_pf):
     assert meta["removed"] == ["d"]
     assert (out / "calibration_audit.csv").is_file()
     assert (out / "config.json").is_file()
+    # a capped run still writes its levels, and says so
+    capsys.readouterr()
+    assert run(["simulate", "--net", FIG1, "--gamma", 0, "--remove", "d", "--max-iter", 1, "--out", out]) == 0
+    assert "warning: not converged after 1 iterations" in capsys.readouterr().err
+    assert json.loads((out / "metadata.json").read_text())["converged"] is False
 
 
 def test_audit_bytes_match_a_csv_writer_reference(tmp_path):
@@ -394,16 +407,20 @@ def test_strategy_transcript_case(tmp_path, capsys):
     assert [r["benchmark_flag"] for r in curve] == ["0", "1", "0", "0", "0"]
 
 
-def test_strategy_unreachable_target_warns(tmp_path, capsys):
+def test_strategy_unreachable_target_warns(tmp_path, capsys, caplog):
     out = tmp_path / "strat"
     cands = tmp_path / "cands.txt"
     cands.write_text("a\nb\n")
-    code = run(
-        ["strategy", "--net", FIG1, "--gamma", 0, "--heuristic", "emitters",
-         "--target", 0.9, "--candidates", cands, "--out", out, "--threads", 1]
-    )
+    with caplog.at_level("WARNING", logger="esri_net.strategies"):
+        code = run(
+            ["strategy", "--net", FIG1, "--gamma", 0, "--heuristic", "emitters",
+             "--target", 0.9, "--candidates", cands, "--out", out, "--threads", 1]
+        )
     assert code == 0
-    assert "unreachable" in capsys.readouterr().err
+    # the library's warning is the one report; the command adds no second line
+    warned = [r for r in caplog.records if "TargetUnreachable" in r.getMessage()]
+    assert [(r.name, r.levelname) for r in warned] == [("esri_net.strategies", "WARNING")]
+    assert "warning: target" not in capsys.readouterr().err
     assert json.loads((out / "summary.json").read_text())["target_reached"] is False
 
 

@@ -67,6 +67,8 @@ def test_load_fig1_fixture(fig1_net):
     assert a.employees == 1
     assert a.co2 == 2.0
     assert a.ets_member is True
+    with pytest.raises(KeyError, match="unknown firm id 'zz'"):
+        fig1_net.index_of("zz")
 
 
 def test_load_parses_missing_fields(tmp_path):
@@ -440,6 +442,21 @@ def test_write_network_round_trip(tmp_path, fig1_net):
     write_network(fig1_net, tmp_path)
     again = load_network(tmp_path / "firms.csv", tmp_path / "edges.csv")
     assert again == fig1_net
+
+
+def test_failed_write_leaves_the_target_alone(tmp_path):
+    target = tmp_path / "out.csv"
+    network_module._write_csv(target, ("x",), [("1",)])
+    before = target.read_bytes()
+
+    def rows():
+        yield ("2",)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="^row source failed$"):
+        network_module._write_csv(target, ("x",), rows())
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]  # no .out.csv.<pid>.tmp
 
 
 def test_round_trip_random_networks(tmp_path):

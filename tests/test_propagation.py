@@ -170,6 +170,7 @@ def test_first_step_by_hand(fig1_net, fig1_pf):
     # without customers on the demand side of c only via c's purchases
     state = initial_state(fig1_net, ["d"])
     npt.assert_allclose(state.h, [1, 1, 1, 0, 1][: state.h.size], rtol=0, atol=0)
+    assert state.of("d") == 0.0
     nxt = production_step(state, fig1_net, fig1_pf, ["d"])
     h_d = dict(zip(nxt.ids, nxt.h_d))
     h_u = dict(zip(nxt.ids, nxt.h_u))
@@ -556,6 +557,7 @@ def test_production_step_matches_reference_on_an_interleaved_network():
 
 def test_equilibrium_lookup_by_id(fig1_net, fig1_pf):
     eq = propagate(fig1_net, fig1_pf, ["d"])
+    assert isinstance(eq, LevelState)  # an equilibrium is a level state plus the solve's counts
     assert [eq.of(fid) for fid in fig1_net.ids] == eq.h.tolist()
     with pytest.raises(ValueError, match="'zz'"):
         eq.of("zz")

@@ -8,7 +8,9 @@ import pytest
 
 from esri_net import (
     EssentialityMatrix,
+    Firm,
     InfeasibleParams,
+    ProductionNetwork,
     SynthParams,
     compute_strengths,
     essentiality_rows,
@@ -151,11 +153,16 @@ def test_out_strength_tail_matches_requested_exponent():
     st = compute_strengths(net)
     est = tail_exponent_estimate(st.s_out)
     assert est == pytest.approx(2.5, abs=0.3)
+    with pytest.raises(ValueError, match="^too few positive values"):
+        tail_exponent_estimate(np.array([2.0, 1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match="^tail is not decaying"):
+        tail_exponent_estimate(np.ones(20))
 
 
 def test_strength_is_concentrated_at_the_top():
     net = generate(SynthParams(n_firms=1000, n_edges=5000, seed=42))
     assert top_strength_share(net, 0.10) > 0.25
+    assert top_strength_share(ProductionNetwork([Firm("a", "C10"), Firm("b", "G46")], []), 0.5) == 0.0
 
 
 # -- essentiality helpers -----------------------------------------------------------
