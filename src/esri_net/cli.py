@@ -266,9 +266,8 @@ def _cmd_esri(args: argparse.Namespace) -> int:
 def _cmd_strategy(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    heuristic = Heuristic(args.heuristic)
     table = batch_indices(net, pf, _curve_candidates(args, net), **_solver_options(args))
-    [curve] = run_heuristics(net, pf, table, [heuristic], args.target, **_solver_options(args))
+    [curve] = run_heuristics(net, pf, table, [args.heuristic], args.target, **_solver_options(args))
     summary = curve.summary()
     out = Path(args.out)
     _write_curve(out / "curve.csv", curve)
@@ -276,7 +275,7 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     _write_audit(out, pf)
     _write_config(out, "strategy", args)
     print(
-        f"{heuristic.value}: target {args.target} -> "
+        f"{args.heuristic}: target {args.target} -> "
         f"firms_removed={summary['firms_removed']} "
         f"co2_reduction={summary['co2_reduction']:.4f} "
         f"expected_job_loss={summary['expected_job_loss']:.4f}"

@@ -40,7 +40,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -174,12 +174,14 @@ class IndexTable:
     def finite_ratios_descending(self) -> list[float]:
         return _finite_positive_descending(r.ratio for r in self.rows)
 
-    def singles(self, pf: ProductionFunctionSet, tol: float, max_iter: int) -> dict[str, ScenarioResult]:
-        """Each candidate's single-firm result, when the table was solved with
-        this very pf object, tol and max_iter; otherwise none."""
+    def singles(
+        self, pf: ProductionFunctionSet, tol: float, max_iter: int
+    ) -> dict[frozenset[str], ScenarioResult]:
+        """Each candidate's single-firm result keyed by its removed set, when the
+        table was solved with this very pf object, tol and max_iter; otherwise none."""
         if self.pf is not pf or self.tol != tol or self.max_iter != max_iter:
             return {}
-        return {r.firm_id: res for r, res in zip(self.rows, self.results)}
+        return {frozenset((r.firm_id,)): res for r, res in zip(self.rows, self.results)}
 
 
 def _finite_positive_descending(values: Iterable[float]) -> list[float]:
@@ -211,13 +213,13 @@ def _run_task(j: int) -> list[ScenarioResult]:
 def evaluate_scenarios(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
-    scenarios: Sequence[Iterable[str]],
+    scenarios: Iterable[Iterable[str]],
     workers: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[ScenarioResult]:
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per
-    scenario (a lone string is one one-firm scenario).
+    scenario of an iterable read once (a lone string is one one-firm scenario).
 
     Scenarios are independent.  With more than one worker they are dealt
     round-robin into one share per worker, and each forked worker solves
@@ -234,7 +236,7 @@ def evaluate_scenarios(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scenarios = list(_firm_ids(scenarios))
+    scenarios = _firm_ids(scenarios)
     cores = os.cpu_count() or 1
     n_workers = workers if workers is not None else cores
     if n_workers > cores:
@@ -272,13 +274,13 @@ def _log_capped(logger: logging.Logger, what: str, capped: list[str]) -> None:
 def batch_indices(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
-    candidates: Sequence[str],
+    candidates: Iterable[str],
     workers: int | None = None,
     total_co2: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> IndexTable:
-    """Single-firm-removal indices for every candidate (a lone string is one), in input order.
+    """Single-firm-removal indices for each candidate (read once; a lone string is one), in input order.
 
     Raises InvalidScenario, naming the ids in input order, before any
     propagation when a candidate is not a firm of the network.

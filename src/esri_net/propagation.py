@@ -465,9 +465,9 @@ def _removed_index(net: ProductionNetwork, scenario: ShockScenario | Iterable[st
     return np.fromiter(map(net.index_of, removed), dtype=np.int64, count=len(removed))
 
 
-def _firm_ids(ids):
-    """ids, a lone string read as one firm id rather than its characters."""
-    return (ids,) if isinstance(ids, str) else ids
+def _firm_ids(ids: Iterable) -> tuple:
+    """ids read once into a tuple, a lone string as one firm id rather than its characters."""
+    return (ids,) if isinstance(ids, str) else tuple(ids)
 
 
 # -- public operations ---------------------------------------------------------

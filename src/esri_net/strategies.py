@@ -23,6 +23,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,19 +48,19 @@ class Heuristic(enum.Enum):
     OPTIMAL_RATIO = "ratio"
 
 
-def rank_firms(table: IndexTable, heuristic: Heuristic) -> list[str]:
-    """Candidate ids in removal order; ties break by co2 desc, then id asc."""
-    if heuristic is Heuristic.LARGEST_EMITTERS_FIRST:
-        key = lambda r: (-r.co2_share_total, r.firm_id)
-    elif heuristic is Heuristic.LEAST_RISKY_FIRST:
-        key = lambda r: (r.ew_esri, -r.co2_share_total, r.firm_id)
-    else:  # ratio descending, +inf above all finite values
-        key = lambda r: (
+def rank_firms(table: IndexTable, heuristic: Heuristic | str) -> list[str]:
+    """Candidate ids in removal order by a Heuristic or its value; ties break by co2 desc, then id asc."""
+    key = {
+        Heuristic.LARGEST_EMITTERS_FIRST: lambda r: (-r.co2_share_total, r.firm_id),
+        Heuristic.LEAST_RISKY_FIRST: lambda r: (r.ew_esri, -r.co2_share_total, r.firm_id),
+        # ratio descending, +inf above all finite values
+        Heuristic.OPTIMAL_RATIO: lambda r: (
             not math.isinf(r.ratio),
             -r.ratio if math.isfinite(r.ratio) else 0.0,
             -r.co2_share_total,
             r.firm_id,
-        )
+        ),
+    }[Heuristic(heuristic)]
     return [r.firm_id for r in sorted(table.rows, key=key)]
 
 
@@ -99,18 +100,17 @@ class StrategyCurve:
 
 def _curve(
     ordering: Sequence[str],
-    solved: dict[frozenset[str], ScenarioResult],
+    results: Iterable[ScenarioResult],
     target: float,
     total: float,
     heuristic: Heuristic | None,
 ) -> StrategyCurve:
-    """The curve along the ordering from its prefixes' results; logs capped
-    prefixes and an unreachable target."""
+    """The curve along the ordering from its prefixes' results, in order; logs
+    capped prefixes and an unreachable target."""
     points: list[CurvePoint] = []
     not_converged: list[str] = []
     benchmark: int | None = 0 if target == 0.0 else None
-    for rank, fid in enumerate(ordering, start=1):
-        _, ew, elim, _, converged = solved[frozenset(ordering[:rank])]
+    for rank, (fid, (_, ew, elim, _, converged)) in enumerate(zip(ordering, results), start=1):
         if not converged:
             not_converged.append(f"rank {rank} ({fid})")
         saved = elim / total
@@ -136,7 +136,7 @@ def _curves(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
     orderings: list[Sequence[str]],
-    heuristics: list[Heuristic | None],
+    heuristics: list[Heuristic | str | None],
     target: float,
     table: IndexTable | None,
     workers: int | None,
@@ -146,52 +146,51 @@ def _curves(
 ) -> list[StrategyCurve]:
     """The curve along each ordering, every curve from one batch of prefixes.
 
-    Prefixes are keyed by their removed set, so one that several orderings
-    share is solved once.  A one-firm prefix is taken from the table when
-    the table was solved with this pf, tol and max_iter (IndexTable.singles).
-    The other distinct prefixes go through one evaluate_scenarios call, and
-    none is made when nothing is left to solve.
+    Prefixes are keyed by their removed set, which is also their scenario,
+    so one that several orderings share is solved once.  A one-firm prefix
+    is taken from the table when the table was solved with this pf, tol and
+    max_iter (IndexTable.singles).  The other distinct prefixes go through
+    one evaluate_scenarios call, and none is made when nothing is left to solve.
     """
     if not target >= 0.0:
         raise ValueError(f"target must be non-negative, got {target}")
-    if any(len(set(ordering)) != len(ordering) for ordering in orderings):
+    heuristics = [None if h is None else Heuristic(h) for h in heuristics]
+    prefixes = [list(accumulate((frozenset((fid,)) for fid in o), frozenset.union)) for o in orderings]
+    if any(keys and len(keys[-1]) != len(o) for o, keys in zip(orderings, prefixes)):
         raise ValueError("removal ordering contains duplicate firm ids")
     total = resolve_total_co2(net, total_co2)
-    singles = table.singles(pf, tol, max_iter) if table is not None else {}
-    solved = {frozenset((fid,)): result for fid, result in singles.items()}
-    missing: dict[frozenset[str], tuple[str, ...]] = {}
-    for ordering in orderings:
-        for k in range(1, len(ordering) + 1):
-            key = frozenset(ordering[:k])
-            if key not in solved and key not in missing:
-                missing[key] = tuple(ordering[:k])
+    solved = table.singles(pf, tol, max_iter) if table is not None else {}
+    missing = list(dict.fromkeys(key for keys in prefixes for key in keys if key not in solved))
     if missing:
-        results = evaluate_scenarios(
-            net, pf, list(missing.values()), workers=workers, tol=tol, max_iter=max_iter
+        solved.update(
+            zip(missing, evaluate_scenarios(net, pf, missing, workers=workers, tol=tol, max_iter=max_iter))
         )
-        solved.update(zip(missing, results))
-    return [_curve(o, solved, target, total, h) for o, h in zip(orderings, heuristics)]
+    return [
+        _curve(o, [solved[key] for key in keys], target, total, h)
+        for o, keys, h in zip(orderings, prefixes, heuristics)
+    ]
 
 
 def run_strategy(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
-    ordering: Sequence[str],
+    ordering: Iterable[str],
     target: float,
     workers: int | None = None,
     total_co2: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    heuristic: Heuristic | None = None,
+    heuristic: Heuristic | str | None = None,
     table: IndexTable | None = None,
 ) -> StrategyCurve:
     """Cumulative savings/job-loss curve along a removal ordering.
 
+    The ordering may be any iterable, read once; a lone string is one id.
     target is a share of the economy-wide CO2 total.  If even the full
-    ordering stays below it, the curve is returned with benchmark_rank
-    None (logged, not raised).  A one-firm prefix reuses the result in
-    table, if given, when the table was solved with this pf, tol and
-    max_iter; the curve is the same either way.  A lone string is one id.
+    ordering stays below it, the curve is returned with benchmark_rank None
+    (logged, not raised).  A one-firm prefix reuses the result in table, if
+    given, when the table was solved with this pf, tol and max_iter; the
+    curve is the same either way.
     """
     [curve] = _curves(
         net, pf, [_firm_ids(ordering)], [heuristic], target, table, workers, total_co2, tol, max_iter
@@ -203,14 +202,14 @@ def run_heuristic(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
     table: IndexTable,
-    heuristic: Heuristic,
+    heuristic: Heuristic | str,
     target: float,
     workers: int | None = None,
     total_co2: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> StrategyCurve:
-    """Rank candidates with the heuristic and evaluate the removal curve."""
+    """Rank candidates by the heuristic, a Heuristic or its value, and evaluate the removal curve."""
     ordering = rank_firms(table, heuristic)
     return run_strategy(
         net, pf, ordering, target,
@@ -223,7 +222,7 @@ def run_heuristics(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
     table: IndexTable,
-    heuristics: Iterable[Heuristic],
+    heuristics: Iterable[Heuristic | str],
     target: float,
     workers: int | None = None,
     total_co2: float | None = None,
@@ -239,9 +238,7 @@ def run_heuristics(
     """
     heuristics = list(heuristics)
     orderings = [rank_firms(table, h) for h in heuristics]
-    return _curves(
-        net, pf, orderings, heuristics, target, table, workers, total_co2, tol, max_iter
-    )
+    return _curves(net, pf, orderings, heuristics, target, table, workers, total_co2, tol, max_iter)
 
 
 # -- rank-regime fit --------------------------------------------------------------

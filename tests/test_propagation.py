@@ -76,6 +76,13 @@ def test_string_scenario_is_one_firm(fig1_net, fig1_pf, multi_group_model):
         assert evaluate_scenarios(net, pf, fid, workers=workers) == evaluate_scenarios(
             net, pf, [(fid,)], workers=workers
         )
+    # any iterable of ids is read once: an iterator and a dict view work as a list does
+    assert batch_indices(fig1_net, fig1_pf, iter(["a", "d"]), workers=1) == batch_indices(
+        fig1_net, fig1_pf, ["a", "d"], workers=1
+    )
+    listed = run_strategy(fig1_net, fig1_pf, ["a", "d"], 0.5, workers=1)
+    assert run_strategy(fig1_net, fig1_pf, iter(["a", "d"]), 0.5, workers=1) == listed
+    assert run_strategy(fig1_net, fig1_pf, {"a": 0, "d": 0}.keys(), 0.5, workers=1) == listed
 
 
 def test_unknown_ids_rejected(fig1_net, fig1_pf):

@@ -44,6 +44,12 @@ def test_rankings_on_bundled_example(fig1_table):
     assert rank_firms(fig1_table, Heuristic.LARGEST_EMITTERS_FIRST) == list("dabce")
     assert rank_firms(fig1_table, Heuristic.LEAST_RISKY_FIRST) == list("abdec")
     assert rank_firms(fig1_table, Heuristic.OPTIMAL_RATIO) == list("abdce")
+    # a heuristic may be given by its value, and an unknown value is rejected
+    assert rank_firms(fig1_table, "emitters") == list("dabce")
+    assert rank_firms(fig1_table, "risk") == list("abdec")
+    assert rank_firms(fig1_table, "ratio") == list("abdce")
+    with pytest.raises(ValueError):
+        rank_firms(fig1_table, "hope")
 
 
 # -- curves --------------------------------------------------------------------
@@ -186,6 +192,13 @@ def test_batched_curves_equal_the_per_heuristic_curves(synth_case, workers):
     assert [c.heuristic for c in batched] == heuristics
     # the order given is the order returned
     assert run_heuristics(net, pf, table, heuristics[::-1], 0.3, workers=workers) == batched[::-1]
+    # curves requested by value are the curves requested by enum
+    values = [h.value for h in heuristics]
+    assert run_heuristics(net, pf, table, values, 0.3, workers=workers) == batched
+    by_value = [run_heuristic(net, pf, table, v, 0.3, workers=workers) for v in values]
+    assert by_value == batched
+    assert [c.heuristic for c in by_value] == heuristics
+    assert [c.summary()["heuristic"] for c in by_value] == values
 
 
 def test_one_call_over_the_distinct_multi_firm_prefixes(synth_case, spy):
