@@ -94,6 +94,21 @@ def ets_total_co2(net: ProductionNetwork) -> float:
 # -- scenario-level indices ----------------------------------------------------
 
 
+def _scenario_result(
+    net: ProductionNetwork,
+    pf: ProductionFunctionSet,
+    scenario: ShockScenario | Iterable[str],
+    tol: float,
+    max_iter: int,
+) -> ScenarioResult:
+    """The scenario's evaluate_scenarios result, logged when it hit the iteration cap."""
+    scenario = scenario if isinstance(scenario, ShockScenario) else ShockScenario(scenario)
+    [result] = evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)
+    if not result[4]:
+        _log_capped(log, "scenario(s)", ["removing " + ", ".join(sorted(scenario.removed))])
+    return result
+
+
 def esri(
     net: ProductionNetwork,
     pf: ProductionFunctionSet,
@@ -102,7 +117,7 @@ def esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Out-strength-share-weighted production loss of the scenario."""
-    return evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][0]
+    return _scenario_result(net, pf, scenario, tol, max_iter)[0]
 
 
 def ew_esri(
@@ -114,7 +129,7 @@ def ew_esri(
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
     _require_employment(net, pf)
-    return evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][1]
+    return _scenario_result(net, pf, scenario, tol, max_iter)[1]
 
 
 def co2_shares(
@@ -128,7 +143,7 @@ def co2_shares(
     """Eliminated-emission shares of the economy-wide and ETS totals."""
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
-    eliminated = evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)[0][2]
+    eliminated = _scenario_result(net, pf, scenario, tol, max_iter)[2]
     return eliminated / total, eliminated / ets_total if ets_total > 0.0 else 0.0
 
 

@@ -159,11 +159,14 @@ class _Engine:
     Each channel steps its levels in its own engine order with one sparse
     product: the downstream operator D on h_d (step_down) and the upstream
     operator U on h_u (step_up).  down[i] and up[i] are firm i's positions
-    in h_d and h_u.  Each score is a dot product of weights with the
-    shortfalls 1 - h in firm order: out-strength shares (esri), employment
-    shares over the firms with a known count (ew_esri; emp_known is None,
-    and ew_esri nan, when no firm has one or the known counts sum to 0) and
-    known emissions (eliminated CO2).
+    in h_d and h_u.  Each score is numpy's sum of the products of weights
+    and shortfalls 1 - h in firm order: out-strength shares (esri),
+    employment shares over the firms with a known count (ew_esri; emp_known
+    is None, and ew_esri nan, when no firm has one or the known counts sum
+    to 0) and known emissions (eliminated CO2).  No score calls BLAS, whose
+    dot product splits long vectors over its threads: a score's bits would
+    then depend on the host's BLAS thread count, and a BLAS helper thread
+    would spin on a worker's core after every call.
     """
 
     def __init__(self, net: ProductionNetwork, pf: ProductionFunctionSet):
@@ -273,8 +276,8 @@ class _Engine:
     def score(self, h: np.ndarray) -> tuple[float, float, float]:
         """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
         loss = 1.0 - h
-        ew = math.nan if self.emp_known is None else float(np.dot(self.emp_shares, loss[self.emp_known]))
-        return float(np.dot(self.out_shares, loss)), ew, float(np.dot(self.co2, loss[self.co2_known]))
+        ew = math.nan if self.emp_known is None else float((self.emp_shares * loss[self.emp_known]).sum())
+        return float((self.out_shares * loss).sum()), ew, float((self.co2 * loss[self.co2_known]).sum())
 
     def result(self, eq: EquilibriumState) -> ScenarioResult:
         """An equilibrium's score with its step count and convergence flag."""

@@ -288,6 +288,19 @@ def test_nonconverged_rows_keep_values(fig1_net, fig1_pf, caplog):
     assert capped.name == "esri_net.indices"
 
 
+def test_capped_scenario_indices_log_the_cap(fig1_net, fig1_pf, caplog):
+    for score in (esri, ew_esri, co2_shares):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            score(fig1_net, fig1_pf, ["e", "d"])
+        assert not caplog.records  # a converged scenario is not logged
+        with caplog.at_level("WARNING"):
+            score(fig1_net, fig1_pf, ["e", "d"], max_iter=1)
+        [record] = caplog.records
+        assert record.getMessage() == "1 scenario(s) hit the iteration cap before tol: removing d, e"
+        assert record.name == "esri_net.indices"
+
+
 # -- parallel evaluation ----------------------------------------------------------
 
 

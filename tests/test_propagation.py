@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +13,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import esri_net
 from esri_net import (
     EssentialityMatrix,
     Firm,
@@ -771,3 +776,58 @@ def test_levels_descend_exactly(multi_group_model):
         for width in (1, 2):
             _, eq = next(_engine(net, pf).solve([(), (ets[0],)], width))
             assert eq.iterations == 1 and math.copysign(1.0, eq.max_delta) == 1.0
+
+
+# -- no BLAS in a solve ------------------------------------------------------------
+
+# A fresh interpreter that solves the 8 single-firm ETS removals of a
+# 20k-firm network at gamma 0.5: the score vectors are longer than the
+# 10,000 elements above which OpenBLAS splits a dot product over its
+# threads.  "scores" prints the workers=1 results, whose float reprs are
+# their exact bits; "times" prints the CPU and the wall seconds of one
+# engine.results call.
+_SOLVE_IN_CHILD = """
+import sys, time
+from esri_net import EssentialityMatrix, SynthParams, calibrate, classify_inputs, generate
+from esri_net.indices import evaluate_scenarios
+from esri_net.propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, _engine
+
+net = generate(SynthParams(20_000, 100_000, n_ets=8, seed=3))
+pf = calibrate(net, classify_inputs(net, EssentialityMatrix.default()), gamma=0.5)
+scenarios = [(fid,) for fid, member in zip(net.ids, net.ets_mask()) if member]
+if sys.argv[1] == "scores":
+    print(evaluate_scenarios(net, pf, scenarios, workers=1))
+else:
+    engine = _engine(net, pf)
+    wall, cpu = time.perf_counter(), time.process_time()
+    engine.results(scenarios, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
+def _solve_in_child(mode: str, blas_threads: int | None) -> str:
+    """_SOLVE_IN_CHILD's output at blas_threads OpenBLAS threads (None: its default)."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = str(Path(esri_net.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _SOLVE_IN_CHILD, mode], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count():
+    scores = _solve_in_child("scores", 1)
+    assert scores.count("True") == 8
+    assert _solve_in_child("scores", 2) == scores
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a BLAS helper thread needs a second core to spin on")
+def test_a_solve_runs_on_one_thread():
+    # a BLAS helper thread that busy-waits after a threaded call adds its
+    # CPU time to the process's: 1.8 times the wall time with dot products
+    cpu, wall = map(float, _solve_in_child("times", None).split())
+    assert cpu <= 1.2 * wall
