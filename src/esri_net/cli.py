@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import sys
-from collections import Counter
 from itertools import compress
 from pathlib import Path
 
@@ -130,16 +129,6 @@ def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     if not path.is_file():
         raise InvalidScenario(f"candidate file not found: {spec}")
     return _read_ids(path)
-
-
-def _curve_candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
-    """Candidates of a removal ordering, each listed once; batch_indices
-    rejects unknown ids."""
-    ids = _candidates(args, net)
-    repeated = [fid for fid, k in Counter(ids).items() if k > 1]
-    if repeated:
-        raise InvalidScenario(f"repeated candidate id(s): {', '.join(repeated)}")
-    return ids
 
 
 def _removal_ids(spec: str) -> list[str]:
@@ -266,7 +255,7 @@ def _cmd_esri(args: argparse.Namespace) -> int:
 def _cmd_strategy(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    table = batch_indices(net, pf, _curve_candidates(args, net), **_solver_options(args))
+    table = batch_indices(net, pf, _candidates(args, net), **_solver_options(args))
     [curve] = run_heuristics(net, pf, table, [args.heuristic], args.target, **_solver_options(args))
     summary = curve.summary()
     out = Path(args.out)
@@ -334,7 +323,7 @@ def _read_ratio_column(path: Path) -> list[float]:
 def _cmd_report(args: argparse.Namespace) -> int:
     net = _load_net(args)
     pf = _calibrated(args, net)
-    candidates = _curve_candidates(args, net)
+    candidates = _candidates(args, net)
     if not candidates:
         raise MissingUpstream("no candidate firms to report on (is any firm an ETS member?)")
     out = Path(args.out)

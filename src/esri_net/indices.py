@@ -19,18 +19,18 @@ solves (IndexTable.singles).
 
 Every score goes through evaluate_scenarios, which scores all three from
 one propagation per scenario, results in input order, with the weights
-that the calibration's engine (propagation._Engine) built once.  With
-more than one worker it deals the scenarios round-robin into one share
-per forked worker process, and each worker solves its share as the
-columns of one scenario block (_Engine.results), which the next pending
-scenarios refill as scenarios end, keyed by their position.  How wide a
-block is and when a column leaves it are stated once, in
-propagation._Engine.solve and README *Parallelism*.  The pool never has
-more workers than the host has cores, nor more than there are
-scenarios.  With one worker each scenario goes through propagate in this
-process.  A call keeps what its scenarios share in local variables and
-hands the pool its task through the worker initializer, so concurrent
-one-worker calls are safe.
+that the calibration's engine (propagation._Engine) built once.  It reads
+every scenario's ids before it solves or forks anything.  With more than
+one worker it deals the scenarios round-robin into one share per forked
+worker process, and each worker solves its share as the columns of one
+scenario block (_Engine.results), which the next pending scenarios
+refill as scenarios end, keyed by their position.  How wide a block is
+and when a column leaves it are stated once, in propagation._Engine.solve
+and README *Parallelism*.  The pool never has more workers than the host
+has cores, nor more than there are scenarios.  With one worker each
+scenario goes through propagate in this process.  A call keeps what its
+scenarios share in local variables and hands the pool its task through
+the worker initializer, so concurrent one-worker calls are safe.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import logging
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -54,6 +55,7 @@ from .propagation import (
     ShockScenario,
     _engine,
     _firm_ids,
+    _removed_index,
     propagate,
 )
 
@@ -236,22 +238,25 @@ def evaluate_scenarios(
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per
     scenario of an iterable read once (a lone string is one one-firm scenario).
 
-    Scenarios are independent.  With more than one worker they are dealt
-    round-robin into one share per worker, and each forked worker solves
-    its share as the columns of one scenario block, refilled as columns
-    end (propagation._Engine.results, whose rules are stated in
-    _Engine.solve and README *Parallelism*); otherwise each scenario
-    goes through propagate in this process and is scored by the same
-    engine.  Both give every scenario propagate's result bit for bit, so
-    results, in input order, are identical for any worker count.  The pool
-    has at most as many workers as the host has cores (os.cpu_count()); a
-    larger request is logged at INFO and capped, and fewer than 1 is a
-    ValueError.  ew_esri is nan when no firm has an employee count or the
-    known counts sum to 0.
+    Every scenario's ids are read before anything is solved or forked: the
+    first with an unknown id raises InvalidScenario.  Scenarios are
+    independent.  With more than one worker they are dealt round-robin into
+    one share per worker, and each forked worker solves its share as the
+    columns of one scenario block, refilled as columns end
+    (propagation._Engine.results, whose rules are stated in _Engine.solve
+    and README *Parallelism*); otherwise each scenario goes through
+    propagate in this process and is scored by the same engine.  Both give
+    every scenario propagate's result bit for bit, so results, in input
+    order, are identical for any worker count.  The pool has at most as many
+    workers as the host has cores (os.cpu_count()); a larger request is
+    logged at INFO and capped, and fewer than 1 is a ValueError.  ew_esri is
+    nan when no firm has an employee count or the known counts sum to 0.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     scenarios = _firm_ids(scenarios)
+    for scenario in scenarios:
+        _removed_index(net, scenario)
     cores = os.cpu_count() or 1
     n_workers = workers if workers is not None else cores
     if n_workers > cores:
@@ -297,10 +302,14 @@ def batch_indices(
 ) -> IndexTable:
     """Single-firm-removal indices for each candidate (read once; a lone string is one), in input order.
 
-    Raises InvalidScenario, naming the ids in input order, before any
-    propagation when a candidate is not a firm of the network.
+    Raises InvalidScenario before any propagation when a candidate is
+    repeated, naming each repeated id once, and otherwise when a candidate
+    is not a firm of the network, naming those ids; both in input order.
     """
     candidates = _firm_ids(candidates)
+    repeated = [str(fid) for fid, k in Counter(candidates).items() if k > 1]
+    if repeated:
+        raise InvalidScenario(f"repeated candidate id(s): {', '.join(repeated)}")
     unknown = [str(fid) for fid in candidates if fid not in net]
     if unknown:
         raise InvalidScenario(f"unknown candidate id(s): {', '.join(unknown)}")

@@ -31,7 +31,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
-from esri_net.propagation import DEFAULT_MAX_ITER
+from esri_net.propagation import DEFAULT_MAX_ITER, _Engine
 
 import oracle
 from conftest import RandomCase
@@ -250,8 +250,29 @@ def test_batch_rejects_unknown_ids(fig1_net, fig1_pf):
         batch_indices(fig1_net, fig1_pf, ["d", "zz", "a", "yy"], workers=1)
 
 
+@pytest.mark.parametrize(
+    "candidates, named",
+    [(["d", "a", "d"], "d"), (["d", "zz", "d"], "d"), ([7, 7], "7"), (list("adada"), "a, d")],
+)
+def test_batch_rejects_repeated_ids_before_any_propagation(
+    fig1_net, fig1_pf, monkeypatch, candidates, named
+):
+    # a repeat is named before an unknown id, each repeated id once, in input order
+    calls = []
+    original = indices.evaluate_scenarios
+
+    def recording(net, pf, scenarios, *args, **kwargs):
+        calls.append(scenarios)
+        return original(net, pf, scenarios, *args, **kwargs)
+
+    monkeypatch.setattr(indices, "evaluate_scenarios", recording)
+    with pytest.raises(InvalidScenario, match=rf"^repeated candidate id\(s\): {named}$"):
+        batch_indices(fig1_net, fig1_pf, candidates, workers=1)
+    assert calls == []
+
+
 def test_index_table_row_lookup(fig1_net, fig1_pf):
-    table = batch_indices(fig1_net, fig1_pf, ["d", "a", "d"], workers=1)
+    table = batch_indices(fig1_net, fig1_pf, ["d", "a"], workers=1)
     assert table.row("d") is table.rows[0]
     assert table.row("a") is table.rows[1]
     with pytest.raises(KeyError, match=r"no index row for firm 'b'"):
@@ -377,11 +398,32 @@ def test_pooled_unknown_id_raises_and_the_next_pool_is_clean(fig1_net, fig1_pf):
     )
 
 
-def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog):
-    # a stub context: its pool records the worker count asked for and maps
-    # in this process, so no worker process is started
+def test_a_failing_worker_share_raises_and_the_next_pool_is_clean(fig1_net, fig1_pf, monkeypatch):
+    solve = _Engine.results
+
+    def failing(self, part, tol, max_iter):
+        if ("d",) in part:
+            raise RuntimeError("share failed")
+        return solve(self, part, tol, max_iter)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Engine, "results", failing)  # before the pool forks, so workers inherit it
+        patched.setattr(indices.os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="^share failed$"):
+            evaluate_scenarios(fig1_net, fig1_pf, [("a",), ("b",), ("d",)], workers=2)
+    net, pf, scenarios = synthetic_case(3, n_scenarios=6)
+    assert evaluate_scenarios(net, pf, scenarios, workers=2) == evaluate_scenarios(
+        net, pf, scenarios, workers=1
+    )
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """A stub fork context on a 2-core host: its pool records the worker
+    count asked for and maps in this process, so no worker process is
+    started.  Returns the counts asked for and what each map was given."""
     asked = []
-    dealt = []  # what each pool's map was given
+    dealt = []
 
     class StubPool:
         def __init__(self, processes, initializer, initargs):
@@ -402,6 +444,11 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
     monkeypatch.setattr(indices, "multiprocessing", stub)
     monkeypatch.setattr(indices, "_task", None)
     monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    return asked, dealt
+
+
+def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, stub_pool, monkeypatch, caplog):
+    asked, dealt = stub_pool
     scenarios = [(fid,) for fid in "abcde"]
     expected = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1)
     with caplog.at_level("INFO", logger="esri_net.indices"):
@@ -425,6 +472,15 @@ def test_pool_is_capped_at_the_core_count(fig1_net, fig1_pf, monkeypatch, caplog
         fig1_net, fig1_pf, many, workers=1
     )
     assert dealt == [[0, 1]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_unknown_scenario_is_named_before_any_pool(fig1_net, fig1_pf, stub_pool, workers):
+    # at two workers the shares are [a, yy] and [zz]; the stub maps the first share first
+    asked, _ = stub_pool
+    with pytest.raises(InvalidScenario, match=r"in scenario: zz$"):
+        evaluate_scenarios(fig1_net, fig1_pf, [("a",), ("zz",), ("yy",)], workers=workers)
+    assert asked == []
 
 
 def test_no_fork_falls_back_to_one_worker(fig1_net, fig1_pf, monkeypatch, caplog):

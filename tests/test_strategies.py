@@ -8,6 +8,7 @@ from esri_net import (
     EssentialityMatrix,
     Heuristic,
     InsufficientPoints,
+    InvalidScenario,
     SynthParams,
     batch_indices,
     calibrate,
@@ -199,6 +200,19 @@ def test_batched_curves_equal_the_per_heuristic_curves(synth_case, workers):
     assert by_value == batched
     assert [c.heuristic for c in by_value] == heuristics
     assert [c.summary()["heuristic"] for c in by_value] == values
+
+
+def test_every_index_table_is_a_valid_ordering(fig1_net, fig1_pf):
+    # batch_indices rejects what a curve would reject: no table it returns repeats a firm
+    accepted = 0
+    for candidates in (["d", "a"], ["d", "d"], ["a", "d", "a"], list("abcde"), list("edcba") * 2):
+        try:
+            table = batch_indices(fig1_net, fig1_pf, candidates, workers=1)
+        except InvalidScenario:
+            continue
+        accepted += 1
+        assert len(run_heuristics(fig1_net, fig1_pf, table, list(Heuristic), 0.5, workers=1)) == 3
+    assert accepted == 2
 
 
 def test_one_call_over_the_distinct_multi_firm_prefixes(synth_case, spy):
