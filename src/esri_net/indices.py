@@ -238,11 +238,11 @@ def evaluate_scenarios(
     """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per
     scenario of an iterable read once (a lone string is one one-firm scenario).
 
-    Every scenario's ids are read before anything is solved or forked: the
-    first with an unknown id raises InvalidScenario.  Scenarios are
-    independent.  With more than one worker they are dealt round-robin into
-    one share per worker, and each forked worker solves its share as the
-    columns of one scenario block, refilled as columns end
+    Each scenario is read once, into a ShockScenario, before anything is
+    solved or forked; the first with an unknown id raises InvalidScenario.
+    Scenarios are independent.  With more than one worker they are dealt
+    round-robin into one share per worker, and each forked worker solves its
+    share as the columns of one scenario block, refilled as columns end
     (propagation._Engine.results, whose rules are stated in _Engine.solve
     and README *Parallelism*); otherwise each scenario goes through
     propagate in this process and is scored by the same engine.  Both give
@@ -254,7 +254,7 @@ def evaluate_scenarios(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scenarios = _firm_ids(scenarios)
+    scenarios = tuple(s if isinstance(s, ShockScenario) else ShockScenario(s) for s in _firm_ids(scenarios))
     for scenario in scenarios:
         _removed_index(net, scenario)
     cores = os.cpu_count() or 1

@@ -31,7 +31,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
-from esri_net.propagation import DEFAULT_MAX_ITER, _Engine
+from esri_net.propagation import DEFAULT_MAX_ITER, ShockScenario, _Engine
 
 import oracle
 from conftest import RandomCase
@@ -402,7 +402,7 @@ def test_a_failing_worker_share_raises_and_the_next_pool_is_clean(fig1_net, fig1
     solve = _Engine.results
 
     def failing(self, part, tol, max_iter):
-        if ("d",) in part:
+        if ShockScenario("d") in part:
             raise RuntimeError("share failed")
         return solve(self, part, tol, max_iter)
 
@@ -481,6 +481,15 @@ def test_the_first_unknown_scenario_is_named_before_any_pool(fig1_net, fig1_pf, 
     with pytest.raises(InvalidScenario, match=r"in scenario: zz$"):
         evaluate_scenarios(fig1_net, fig1_pf, [("a",), ("zz",), ("yy",)], workers=workers)
     assert asked == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scenarios_given_as_iterators_are_read_once(fig1_net, fig1_pf, monkeypatch, workers):
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    removals = [("d",), ("a", "b"), ("e",)]
+    got = evaluate_scenarios(fig1_net, fig1_pf, [iter(r) for r in removals], workers=workers)
+    assert got == evaluate_scenarios(fig1_net, fig1_pf, removals, workers=workers)
+    assert got != evaluate_scenarios(fig1_net, fig1_pf, [()] * 3, workers=1)
 
 
 def test_no_fork_falls_back_to_one_worker(fig1_net, fig1_pf, monkeypatch, caplog):
