@@ -11,11 +11,7 @@ include the partial reductions of firms that are hit but not removed.
 Per-firm index rows report the candidate's own direct emissions as
 shares of the economy-wide and ETS totals (so ets shares over all ETS
 firms sum to one), and ratio = co2_share_total / ew_esri, the CO2 saved
-per unit of employment put at risk by removing that firm alone.  An
-index table also keeps each candidate's full evaluate_scenarios result
-(eliminated CO2 in absolute terms) with the calibration, tol and max_iter
-it was solved under, so strategy curves can reuse those single-firm
-solves (IndexTable.singles).
+per unit of employment put at risk by removing that firm alone.
 
 Every score goes through evaluate_scenarios, which scores all three from
 one propagation per scenario, results in input order, with the weights
@@ -39,7 +35,8 @@ import math
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -171,12 +168,6 @@ class IndexTable:
     rows: tuple[IndexRow, ...]
     total_co2: float
     ets_total_co2: float
-    # Each row's evaluate_scenarios result and what it was solved under;
-    # left out of equality and repr, which compare and show the rows only.
-    results: tuple[ScenarioResult, ...] = field(default=(), compare=False, repr=False)
-    pf: ProductionFunctionSet | None = field(default=None, compare=False, repr=False)
-    tol: float | None = field(default=None, compare=False, repr=False)
-    max_iter: int | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _by_id(self) -> dict[str, IndexRow]:
@@ -190,15 +181,6 @@ class IndexTable:
 
     def finite_ratios_descending(self) -> list[float]:
         return _finite_positive_descending(r.ratio for r in self.rows)
-
-    def singles(
-        self, pf: ProductionFunctionSet, tol: float, max_iter: int
-    ) -> dict[frozenset[str], ScenarioResult]:
-        """Each candidate's single-firm result keyed by its removed set, when the
-        table was solved with this very pf object, tol and max_iter; otherwise none."""
-        if self.pf is not pf or self.tol != tol or self.max_iter != max_iter:
-            return {}
-        return {frozenset((r.firm_id,)): res for r, res in zip(self.rows, self.results)}
 
 
 def _finite_positive_descending(values: Iterable[float]) -> list[float]:
@@ -249,8 +231,10 @@ def evaluate_scenarios(
     every scenario propagate's result bit for bit, so results, in input
     order, are identical for any worker count.  The pool has at most as many
     workers as the host has cores (os.cpu_count()); a larger request is
-    logged at INFO and capped, and fewer than 1 is a ValueError.  ew_esri is
-    nan when no firm has an employee count or the known counts sum to 0.
+    logged at INFO and capped, and fewer than 1 is a ValueError.  A worker
+    that dies raises BrokenProcessPool at once and ends the other workers.
+    ew_esri is nan when no firm has an employee count or the known counts
+    sum to 0.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -274,8 +258,10 @@ def evaluate_scenarios(
                 """Results of worker j's share, every n_workers-th scenario from the j-th."""
                 return engine.results(scenarios[j::n_workers], tol, max_iter)
 
-            with ctx.Pool(n_workers, initializer=_init_worker, initargs=(share,)) as pool:
-                shares = pool.map(_run_task, range(n_workers))
+            with ProcessPoolExecutor(
+                n_workers, mp_context=ctx, initializer=_init_worker, initargs=(share,)
+            ) as pool:
+                shares = list(pool.map(_run_task, range(n_workers)))
             results = [None] * len(scenarios)
             for j, part in enumerate(shares):
                 results[j::n_workers] = part
@@ -339,7 +325,4 @@ def batch_indices(
             )
         )
     _log_capped(log, "candidate scenario(s)", not_converged)
-    return IndexTable(
-        rows=tuple(rows), total_co2=total, ets_total_co2=ets_total,
-        results=tuple(results), pf=pf, tol=tol, max_iter=max_iter,
-    )
+    return IndexTable(rows=tuple(rows), total_co2=total, ets_total_co2=ets_total)

@@ -10,12 +10,10 @@ first prefix whose cumulative savings reach the target share.
 
 run_heuristic is the path from an index table to a curve: rank_firms
 orders the candidates and run_strategy evaluates the prefixes of a
-(possibly caller-supplied) ordering through indices.evaluate_scenarios.
-run_heuristics builds several heuristics' curves from one such call over
-the distinct prefixes of all their orderings, keyed by removed set.  Both
-take a one-firm prefix from the index table when the table was solved
-with the same calibration object, tol and max_iter (IndexTable.singles),
-since a scenario's result is the same bits in any block, share or call.
+(possibly caller-supplied) ordering, the one-firm prefix included, in one
+indices.evaluate_scenarios call.  run_heuristics builds several
+heuristics' curves from one such call over the distinct prefixes of all
+their orderings, keyed by removed set.
 """
 from __future__ import annotations
 
@@ -138,7 +136,6 @@ def _curves(
     orderings: list[Sequence[str]],
     heuristics: list[Heuristic | str | None],
     target: float,
-    table: IndexTable | None,
     workers: int | None,
     total_co2: float | None,
     tol: float,
@@ -147,10 +144,8 @@ def _curves(
     """The curve along each ordering, every curve from one batch of prefixes.
 
     Prefixes are keyed by their removed set, which is also their scenario,
-    so one that several orderings share is solved once.  A one-firm prefix
-    is taken from the table when the table was solved with this pf, tol and
-    max_iter (IndexTable.singles).  The other distinct prefixes go through
-    one evaluate_scenarios call, and none is made when nothing is left to solve.
+    so one that several orderings share is solved once.  All the distinct
+    prefixes, one-firm ones included, go through one evaluate_scenarios call.
     """
     if not target >= 0.0:
         raise ValueError(f"target must be non-negative, got {target}")
@@ -159,12 +154,10 @@ def _curves(
     if any(keys and len(keys[-1]) != len(o) for o, keys in zip(orderings, prefixes)):
         raise ValueError("removal ordering contains duplicate firm ids")
     total = resolve_total_co2(net, total_co2)
-    solved = table.singles(pf, tol, max_iter) if table is not None else {}
-    missing = list(dict.fromkeys(key for keys in prefixes for key in keys if key not in solved))
-    if missing:
-        solved.update(
-            zip(missing, evaluate_scenarios(net, pf, missing, workers=workers, tol=tol, max_iter=max_iter))
-        )
+    distinct = list(dict.fromkeys(key for keys in prefixes for key in keys))
+    solved = dict(
+        zip(distinct, evaluate_scenarios(net, pf, distinct, workers=workers, tol=tol, max_iter=max_iter))
+    )
     return [
         _curve(o, [solved[key] for key in keys], target, total, h)
         for o, keys, h in zip(orderings, prefixes, heuristics)
@@ -181,20 +174,15 @@ def run_strategy(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     heuristic: Heuristic | str | None = None,
-    table: IndexTable | None = None,
 ) -> StrategyCurve:
     """Cumulative savings/job-loss curve along a removal ordering.
 
     The ordering may be any iterable, read once; a lone string is one id.
     target is a share of the economy-wide CO2 total.  If even the full
     ordering stays below it, the curve is returned with benchmark_rank None
-    (logged, not raised).  A one-firm prefix reuses the result in table, if
-    given, when the table was solved with this pf, tol and max_iter; the
-    curve is the same either way.
+    (logged, not raised).
     """
-    [curve] = _curves(
-        net, pf, [_firm_ids(ordering)], [heuristic], target, table, workers, total_co2, tol, max_iter
-    )
+    [curve] = _curves(net, pf, [_firm_ids(ordering)], [heuristic], target, workers, total_co2, tol, max_iter)
     return curve
 
 
@@ -213,8 +201,7 @@ def run_heuristic(
     ordering = rank_firms(table, heuristic)
     return run_strategy(
         net, pf, ordering, target,
-        workers=workers, total_co2=total_co2, tol=tol, max_iter=max_iter,
-        heuristic=heuristic, table=table,
+        workers=workers, total_co2=total_co2, tol=tol, max_iter=max_iter, heuristic=heuristic,
     )
 
 
@@ -232,13 +219,12 @@ def run_heuristics(
     """run_heuristic's curve for each heuristic, in the order given.
 
     The distinct prefixes of all the orderings are evaluated together in
-    one evaluate_scenarios call, one-firm prefixes coming from the table
-    as in run_strategy, so a prefix that several curves share is solved
-    once.  Each curve equals run_heuristic's.
+    one evaluate_scenarios call, so a prefix that several curves share is
+    solved once.  Each curve equals run_heuristic's.
     """
     heuristics = list(heuristics)
     orderings = [rank_firms(table, h) for h in heuristics]
-    return _curves(net, pf, orderings, heuristics, target, table, workers, total_co2, tol, max_iter)
+    return _curves(net, pf, orderings, heuristics, target, workers, total_co2, tol, max_iter)
 
 
 # -- rank-regime fit --------------------------------------------------------------

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co
 from esri_net.propagation import DEFAULT_MAX_ITER, ShockScenario, _Engine
 
 import oracle
-from conftest import RandomCase
+from conftest import FIG1, RandomCase
 
 
 def tiny_net(firms, edges):
@@ -417,17 +420,66 @@ def test_a_failing_worker_share_raises_and_the_next_pool_is_clean(fig1_net, fig1
     )
 
 
+_KILL_A_WORKER = """
+import multiprocessing, os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+from esri_net import EssentialityMatrix, calibrate, classify_inputs, indices, load_network
+from esri_net.propagation import ShockScenario, _Engine
+
+fig1 = sys.argv[1]
+net = load_network(os.path.join(fig1, "firms.csv"), os.path.join(fig1, "edges.csv"))
+matrix = EssentialityMatrix.from_csv(os.path.join(fig1, "essentiality.csv"))
+pf = calibrate(net, classify_inputs(net, matrix), gamma=0.0)
+solve = _Engine.results
+
+def dying(self, part, tol, max_iter):
+    if ShockScenario("d") in part:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return solve(self, part, tol, max_iter)
+
+_Engine.results = dying
+indices.os.cpu_count = lambda: 2
+try:
+    indices.evaluate_scenarios(net, pf, [("a",), ("b",), ("d",)], workers=2)
+except BrokenProcessPool:
+    print("broken", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_dead_worker_raises_and_the_next_pool_is_clean():
+    # in a child interpreter with its own process group, so a pool that
+    # waits forever for the lost share is killed with its workers
+    env = dict(os.environ)
+    src = str(Path(indices.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILL_A_WORKER, str(FIG1)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the pool still waited for the dead worker's share after 60 s")
+    assert (child.returncode, out) == (0, "broken 0\n"), err
+    net, pf, scenarios = synthetic_case(3, n_scenarios=6)
+    assert evaluate_scenarios(net, pf, scenarios, workers=2) == evaluate_scenarios(
+        net, pf, scenarios, workers=1
+    )
+
+
 @pytest.fixture
 def stub_pool(monkeypatch):
-    """A stub fork context on a 2-core host: its pool records the worker
-    count asked for and maps in this process, so no worker process is
-    started.  Returns the counts asked for and what each map was given."""
+    """A stub pool on a 2-core host: it records the worker count asked for
+    and maps in this process, so no worker process is started.  Returns the
+    counts asked for and what each map was given."""
     asked = []
     dealt = []
 
     class StubPool:
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            asked.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -440,8 +492,7 @@ def stub_pool(monkeypatch):
             dealt.append(list(iterable))
             return list(map(fn, dealt[-1]))
 
-    stub = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=StubPool))
-    monkeypatch.setattr(indices, "multiprocessing", stub)
+    monkeypatch.setattr(indices, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(indices, "_task", None)
     monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
     return asked, dealt
