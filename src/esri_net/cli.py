@@ -301,7 +301,7 @@ def _read_ratio_column(path: Path) -> list[float]:
         raise MissingUpstream(f"indices file not found: {path}")
     with _open_text(path) as fh:
         rows = csv.reader(fh)
-        header = next(rows, [])
+        header = [cell.strip() for cell in next(rows, [])]
         if "ratio" not in header:
             raise MissingUpstream(f"{path.name} has no ratio column")
         col = header.index("ratio")

@@ -4,9 +4,12 @@ Degrees follow a power law with the configured exponent: per-firm
 Pareto propensities are turned into exact in/out degree totals by a
 multinomial split of the edge budget, then out-stubs are matched to
 permuted in-stubs in rejection rounds that drop self-loops and parallel
-edges.  Edge weights and employment are lognormal for every firm;
-emissions are lognormal on a randomly chosen ETS-like subset, so
-emission size is independent of network position by construction.
+edges.  The other distributions are fixed: sectors are drawn from
+`DEFAULT_SECTOR_WEIGHTS`; edge weights are lognormal (mu 0, sigma 1) and
+employment lognormal (mu 1.5, sigma 1.2, rounded, at least 1) for every
+firm; emissions are lognormal (mu 10, sigma 2) on a randomly chosen
+ETS-like subset, so emission size is independent of network position by
+construction.
 
 Every sampling stage draws from its own child stream of the seed, so a
 given seed reproduces the same network bit for bit regardless of which
@@ -16,9 +19,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -27,10 +29,15 @@ from .network import FirmTable, ProductionNetwork, _write_csv, compute_strengths
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SECTOR_WEIGHTS: Mapping[str, float] = {
+DEFAULT_SECTOR_WEIGHTS: dict[str, float] = {
     "A": 0.05, "B": 0.01, "C": 0.22, "D": 0.02, "E": 0.02, "F": 0.12,
     "G": 0.24, "H": 0.07, "I": 0.05, "J": 0.04, "M": 0.09, "N": 0.07,
 }
+
+# (mu, sigma) of the lognormal draws
+_EMPLOYMENT_LOGNORMAL = (1.5, 1.2)
+_EMISSION_LOGNORMAL = (10.0, 2.0)
+_WEIGHT_LOGNORMAL = (0.0, 1.0)
 
 # child-stream indices, one per sampling stage
 _STAGE_SECTORS = 0
@@ -52,10 +59,6 @@ class SynthParams:
     n_firms: int
     n_edges: int
     degree_exponent: float = 2.5
-    sector_weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_SECTOR_WEIGHTS))
-    employment_lognormal: tuple[float, float] = (1.5, 1.2)
-    emission_lognormal: tuple[float, float] = (10.0, 2.0)
-    weight_lognormal: tuple[float, float] = (0.0, 1.0)
     n_ets: int = 0
     seed: int = 0
 
@@ -75,16 +78,6 @@ def _check(params: SynthParams) -> None:
         raise InfeasibleParams(f"degree_exponent must be finite and > 1, got {p.degree_exponent}")
     if p.seed < 0:
         raise InfeasibleParams(f"seed must be non-negative, got {p.seed}")
-    weights = p.sector_weights.values()
-    if not (all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0.0):
-        raise InfeasibleParams("sector_weights must be finite, non-negative, of positive mass")
-    for name, (mu, sigma) in (
-        ("employment_lognormal", p.employment_lognormal),
-        ("emission_lognormal", p.emission_lognormal),
-        ("weight_lognormal", p.weight_lognormal),
-    ):
-        if not (math.isfinite(mu) and 0.0 <= sigma < math.inf):
-            raise InfeasibleParams(f"{name} needs finite mu and sigma >= 0, got ({mu}, {sigma})")
 
 
 def _stream(params: SynthParams, stage: int) -> np.random.Generator:
@@ -134,20 +127,17 @@ def generate(params: SynthParams) -> ProductionNetwork:
     """Sample a network from the parameters."""
     _check(params)
     n = params.n_firms
-    letters = sorted(params.sector_weights)
-    probs = np.array([params.sector_weights[s] for s in letters], dtype=float)
+    letters = sorted(DEFAULT_SECTOR_WEIGHTS)
+    probs = np.array([DEFAULT_SECTOR_WEIGHTS[s] for s in letters], dtype=float)
     probs /= probs.sum()
     sectors = _stream(params, _STAGE_SECTORS).choice(letters, size=n, p=probs)
 
     d_out, d_in = _degree_totals(params, _stream(params, _STAGE_DEGREES))
     sup, buy = _wire(n, d_out, d_in, _stream(params, _STAGE_WIRING))
 
-    mu_w, sigma_w = params.weight_lognormal
-    weights = _stream(params, _STAGE_WEIGHTS).lognormal(mu_w, sigma_w, size=sup.size)
-
-    mu_e, sigma_e = params.employment_lognormal
+    weights = _stream(params, _STAGE_WEIGHTS).lognormal(*_WEIGHT_LOGNORMAL, size=sup.size)
     employees = np.maximum(
-        1, np.round(_stream(params, _STAGE_EMPLOYMENT).lognormal(mu_e, sigma_e, size=n))
+        1, np.round(_stream(params, _STAGE_EMPLOYMENT).lognormal(*_EMPLOYMENT_LOGNORMAL, size=n))
     ).astype(np.int64)
 
     co2 = np.full(n, np.nan)
@@ -155,8 +145,7 @@ def generate(params: SynthParams) -> ProductionNetwork:
     if params.n_ets:
         rng = _stream(params, _STAGE_EMISSIONS)
         chosen = np.sort(rng.choice(n, size=params.n_ets, replace=False))
-        mu_c, sigma_c = params.emission_lognormal
-        co2[chosen] = rng.lognormal(mu_c, sigma_c, size=params.n_ets)
+        co2[chosen] = rng.lognormal(*_EMISSION_LOGNORMAL, size=params.n_ets)
         ets[chosen] = True
 
     width = len(str(n))
@@ -188,11 +177,11 @@ def top_strength_share(net: ProductionNetwork, fraction: float = 0.01) -> float:
     return float(s[:k].sum()) / total
 
 
-def tail_exponent_estimate(values: np.ndarray, top_fraction: float = 0.1) -> float:
-    """Power-law exponent from the Zipf-plot slope of the top tail."""
+def tail_exponent_estimate(values: np.ndarray) -> float:
+    """Power-law exponent from the Zipf-plot slope of the top tenth (at least 10 values)."""
     v = np.sort(np.asarray(values, dtype=float))[::-1]
     v = v[v > 0.0]
-    k = max(10, int(v.size * top_fraction))
+    k = max(10, v.size // 10)
     k = min(k, v.size)
     if k < 3:
         raise ValueError("too few positive values for a tail estimate")

@@ -481,6 +481,19 @@ def test_fit_regimes_bad_ratio_cell_exit_3(tmp_path, capsys):
     assert "SchemaError: indices.csv row 9: ratio must be a number, got '5O.0'\n" in capsys.readouterr().err
 
 
+def test_fit_regimes_strips_header_cells(tmp_path, capsys):
+    # header cells are stripped, as in every other input file
+    path = tmp_path / "indices.csv"
+    header = ("firm_id", "esri", "ew_esri", "co2_share_total", "co2_share_ets", "ratio")
+    rows = "".join(f"f{k},0.1,0.1,0.2,0.2,{v}\n" for k, v in enumerate([800, 400, 200, 100, 50, 40]))
+    fits = []
+    for sep in (",", ", "):
+        path.write_text(sep.join(header) + "\n" + rows)
+        assert run(["fit-regimes", "--indices", path, "--hi", 150.0, "--lo", 30.0]) == 0
+        fits.append(json.loads(capsys.readouterr().out))
+    assert fits[0] == fits[1]
+
+
 def test_fit_regimes_requires_a_source(capsys):
     assert run(["fit-regimes"]) == 3
     assert "MissingUpstream" in capsys.readouterr().err

@@ -241,20 +241,6 @@ def test_a_curve_solves_its_first_rank_as_the_table_did(synth_case, workers):
         assert first.cum_job_loss.hex() == table.row(first.firm_id).ew_esri.hex()
 
 
-@pytest.mark.parametrize("solved_under", [{"max_iter": 5}, {"tol": 1e-4}, {"pf": "another"}])
-def test_a_table_solved_otherwise_is_not_reused(synth_case, spy, solved_under):
-    net, matrix, ets = synth_case
-    pf = synth_pf(net, matrix)
-    table_pf = synth_pf(net, matrix) if solved_under.pop("pf", None) else pf
-    table = batch_indices(net, table_pf, ets, workers=1, **solved_under)
-    for h in Heuristic:
-        spy.clear()
-        curve = run_heuristic(net, pf, table, h, 0.3, workers=1)
-        ordering = rank_firms(table, h)
-        assert curve == run_strategy(net, pf, ordering, 0.3, workers=1, heuristic=h)
-        assert frozenset(ordering[:1]) in spy[0]
-
-
 def test_one_engine_per_calibration(synth_case):
     net, matrix, ets = synth_case
     pf = synth_pf(net, matrix)

