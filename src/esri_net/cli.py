@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import EssentialityMatrix, ProductionFunctionSet, calibrate, classify_inputs
 from .indices import MissingTotal, NoEmploymentData, _finite_positive_descending, batch_indices
-from .network import (MissingFile, NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
+from .network import (NetworkError, ProductionNetwork, SchemaError, _atomic_open, _numbered,
                       _open_text, _read_text, _write_csv, load_network, validate, write_network)
 from .propagation import DEFAULT_MAX_ITER, DEFAULT_TOL, InvalidScenario, propagate
 from .strategies import (Heuristic, InsufficientPoints, StrategyCurve, fit_rank_regimes, rank_firms,
@@ -125,10 +125,7 @@ def _candidates(args: argparse.Namespace, net: ProductionNetwork) -> list[str]:
     spec = args.candidates
     if spec == "all-ets":
         return _ets_ids(net)
-    path = Path(spec)
-    if not path.is_file():
-        raise InvalidScenario(f"candidate file not found: {spec}")
-    return _read_ids(path)
+    return _read_ids(Path(spec))
 
 
 def _removal_ids(spec: str) -> list[str]:
@@ -170,9 +167,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if args.fixture is not None:
         sources = [Path(args.fixture) / name for name in ("firms.csv", "edges.csv", "essentiality.csv")]
-        for src in sources:
-            if not src.is_file():
-                raise MissingFile(f"missing input file: {src}")
         # every source decodes before out is made; a byte-order mark is kept, so copies are exact
         texts = [_read_text(src, "utf-8") for src in sources]
         for src, text in zip(sources, texts):
@@ -297,8 +291,6 @@ def _read_ratio_column(path: Path) -> list[float]:
     A row that ends before the ratio column, or whose ratio cell is not a
     number, is a fault; inf and nan cells are dropped with the other
     ratios that are not finite and positive."""
-    if not path.is_file():
-        raise MissingUpstream(f"indices file not found: {path}")
     with _open_text(path) as fh:
         rows = csv.reader(fh)
         header = [cell.strip() for cell in next(rows, [])]
@@ -460,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit-regimes", parents=[p_model, p_prop, p_par],
                         help="two-regime exponential fit of ratio vs rank")
-    sp.add_argument("--indices", help="indices.csv from an esri run")
-    sp.add_argument("--net", help="compute indices from this network directory instead")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--indices", help="indices.csv from an esri run")
+    source.add_argument("--net", help="compute indices from this network directory instead")
     sp.add_argument("--hi", type=_positive_float, default=1000.0)
     sp.add_argument("--lo", type=_positive_float, default=10.0)
     sp.add_argument("--out")

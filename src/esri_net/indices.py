@@ -14,8 +14,9 @@ firms sum to one), and ratio = co2_share_total / ew_esri, the CO2 saved
 per unit of employment put at risk by removing that firm alone.
 
 Every score goes through evaluate_scenarios, which scores all three from
-one propagation per scenario, results in input order, with the weights
-that the calibration's engine (propagation._Engine) built once.  It reads
+one propagation per scenario, as one ScenarioResult per scenario in input
+order, with the weights that the calibration's engine (propagation._Engine)
+built once; _log_capped alone tests which results hit the cap.  It reads
 every scenario's ids before it solves or forks anything.  With more than
 one worker it deals the scenarios round-robin into one share per forked
 worker process, and each worker solves its share as the columns of one
@@ -103,8 +104,7 @@ def _scenario_result(
     """The scenario's evaluate_scenarios result, logged when it hit the iteration cap."""
     scenario = scenario if isinstance(scenario, ShockScenario) else ShockScenario(scenario)
     [result] = evaluate_scenarios(net, pf, [scenario], 1, tol, max_iter)
-    if not result[4]:
-        _log_capped(log, "scenario(s)", ["removing " + ", ".join(sorted(scenario.removed))])
+    _log_capped(log, "scenario(s)", ["removing " + ", ".join(sorted(scenario.removed))], [result])
     return result
 
 
@@ -116,7 +116,7 @@ def esri(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Out-strength-share-weighted production loss of the scenario."""
-    return _scenario_result(net, pf, scenario, tol, max_iter)[0]
+    return _scenario_result(net, pf, scenario, tol, max_iter).esri
 
 
 def ew_esri(
@@ -128,7 +128,7 @@ def ew_esri(
 ) -> float:
     """Employment-share-weighted production loss over firms with a known count."""
     _require_employment(net, pf)
-    return _scenario_result(net, pf, scenario, tol, max_iter)[1]
+    return _scenario_result(net, pf, scenario, tol, max_iter).ew_esri
 
 
 def co2_shares(
@@ -142,7 +142,7 @@ def co2_shares(
     """Eliminated-emission shares of the economy-wide and ETS totals."""
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
-    eliminated = _scenario_result(net, pf, scenario, tol, max_iter)[2]
+    eliminated = _scenario_result(net, pf, scenario, tol, max_iter).eliminated_co2
     return eliminated / total, eliminated / ets_total if ets_total > 0.0 else 0.0
 
 
@@ -217,8 +217,8 @@ def evaluate_scenarios(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[ScenarioResult]:
-    """Evaluate (esri, ew_esri, eliminated_co2, iterations, converged) per
-    scenario of an iterable read once (a lone string is one one-firm scenario).
+    """A ScenarioResult per scenario of an iterable read once (a lone string
+    is one one-firm scenario).
 
     Each scenario is read once, into a ShockScenario, before anything is
     solved or forked; the first with an unknown id raises InvalidScenario.
@@ -269,8 +269,11 @@ def evaluate_scenarios(
     return [engine.result(propagate(net, pf, s, tol=tol, max_iter=max_iter)) for s in scenarios]
 
 
-def _log_capped(logger: logging.Logger, what: str, capped: list[str]) -> None:
-    """Warns on logger how many of what hit the iteration cap, naming the first five."""
+def _log_capped(
+    logger: logging.Logger, what: str, labels: Iterable[str], results: Iterable[ScenarioResult]
+) -> None:
+    """Warns on logger how many of what hit the iteration cap, naming the first five by their labels."""
+    capped = [label for label, result in zip(labels, results) if not result.converged]
     if capped:
         logger.warning(
             "%d %s hit the iteration cap before tol: %s", len(capped), what, ", ".join(capped[:5])
@@ -307,22 +310,19 @@ def batch_indices(
         net, pf, [(fid,) for fid in candidates], workers=workers, tol=tol, max_iter=max_iter
     )
     rows: list[IndexRow] = []
-    not_converged: list[str] = []
-    for fid, (esri_v, ew_v, _, _, converged) in zip(candidates, results):
-        if not converged:
-            not_converged.append(fid)
+    for fid, result in zip(candidates, results):
         own_co2 = float(np.nan_to_num(net.co2_array()[net.index_of(fid)])) or 0.0
         share_total = own_co2 / total
         share_ets = own_co2 / ets_total if ets_total > 0.0 else 0.0
         rows.append(
             IndexRow(
                 firm_id=fid,
-                esri=esri_v,
-                ew_esri=ew_v,
+                esri=result.esri,
+                ew_esri=result.ew_esri,
                 co2_share_total=share_total,
                 co2_share_ets=share_ets,
-                ratio=_ratio(share_total, ew_v),
+                ratio=_ratio(share_total, result.ew_esri),
             )
         )
-    _log_capped(log, "candidate scenario(s)", not_converged)
+    _log_capped(log, "candidate scenario(s)", candidates, results)
     return IndexTable(rows=tuple(rows), total_co2=total, ets_total_co2=ets_total)

@@ -42,7 +42,7 @@ import numbers
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence, TextIO
@@ -377,9 +377,14 @@ def _open_text(path: str | Path, encoding: str = "utf-8-sig") -> Iterator[TextIO
     as a SchemaError naming the file and the byte's offset, and a csv.Error
     (a field over the csv module's size limit, say) as one naming the file
     and the row where the failing record starts (the header is row 1).
-    Both are worked out by reading the file again, on the error path only."""
+    Both are worked out by reading the file again, on the error path only.
+    A path that open cannot read as a file is a MissingFile."""
     try:
-        with open(path, newline="", encoding=encoding) as fh:
+        fh = open(path, newline="", encoding=encoding)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise MissingFile(f"missing input file: {Path(path)}") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError:
         try:
@@ -405,8 +410,6 @@ def _read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
 def _csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> Iterator[Iterator[list[str]]]:
     """A csv.reader positioned after the file's header, which must match."""
     p = Path(path)
-    if not p.is_file():
-        raise MissingFile(f"missing input file: {p}")
     with _open_text(p) as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
@@ -661,6 +664,6 @@ def validate(net: ProductionNetwork) -> ValidationReport:
         co2_known_firms=int(known_co2.sum()),
         co2_total_known=known_co2_total(net),
         ets_co2_total=known_co2_total(net, ets_only=True),
-        isolated_ids=tuple(np.array(net.ids)[isolated][:20]),
+        isolated_ids=tuple(islice(compress(net.ids, isolated.tolist()), 20)),
         warnings=tuple(warnings),
     )

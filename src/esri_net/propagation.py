@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,8 +120,14 @@ class EquilibriumState(LevelState):
     iterations_u: int | None
 
 
-# One scenario's score: (esri, ew_esri, eliminated_co2, iterations, converged).
-ScenarioResult = tuple[float, float, float, int, bool]
+class ScenarioResult(NamedTuple):
+    """One scenario's scores, steps and convergence flag; ew_esri is nan without employment data."""
+
+    esri: float
+    ew_esri: float
+    eliminated_co2: float
+    iterations: int
+    converged: bool
 
 
 # -- the engine ------------------------------------------------------------------
@@ -273,15 +279,12 @@ class _Engine:
         """Empty column blocks of up to width columns: h_d's, then h_u's."""
         return _Columns(width, self.step_down, self.down), _Columns(width, self.step_up, self.up)
 
-    def score(self, h: np.ndarray) -> tuple[float, float, float]:
-        """(esri, ew_esri, eliminated CO2) at levels h; ew_esri is nan without employment data."""
-        loss = 1.0 - h
-        ew = math.nan if self.emp_known is None else float((self.emp_shares * loss[self.emp_known]).sum())
-        return float((self.out_shares * loss).sum()), ew, float((self.co2 * loss[self.co2_known]).sum())
-
     def result(self, eq: EquilibriumState) -> ScenarioResult:
-        """An equilibrium's score with its step count and convergence flag."""
-        return (*self.score(eq.h), eq.iterations, eq.converged)
+        """An equilibrium's scores with its step count and convergence flag."""
+        loss = 1.0 - eq.h
+        ew = math.nan if self.emp_known is None else float((self.emp_shares * loss[self.emp_known]).sum())
+        esri, co2 = float((self.out_shares * loss).sum()), float((self.co2 * loss[self.co2_known]).sum())
+        return ScenarioResult(esri, ew, co2, eq.iterations, eq.converged)
 
     def solve(
         self,

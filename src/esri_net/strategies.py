@@ -98,7 +98,7 @@ class StrategyCurve:
 
 def _curve(
     ordering: Sequence[str],
-    results: Iterable[ScenarioResult],
+    results: Sequence[ScenarioResult],
     target: float,
     total: float,
     heuristic: Heuristic | None,
@@ -106,17 +106,14 @@ def _curve(
     """The curve along the ordering from its prefixes' results, in order; logs
     capped prefixes and an unreachable target."""
     points: list[CurvePoint] = []
-    not_converged: list[str] = []
     benchmark: int | None = 0 if target == 0.0 else None
-    for rank, (fid, (_, ew, elim, _, converged)) in enumerate(zip(ordering, results), start=1):
-        if not converged:
-            not_converged.append(f"rank {rank} ({fid})")
-        saved = elim / total
-        points.append(CurvePoint(rank=rank, firm_id=fid, cum_co2_saved=saved, cum_job_loss=ew))
+    for rank, (fid, result) in enumerate(zip(ordering, results), start=1):
+        saved = result.eliminated_co2 / total
+        points.append(CurvePoint(rank=rank, firm_id=fid, cum_co2_saved=saved, cum_job_loss=result.ew_esri))
         # float-noise guard on the threshold comparison only
         if benchmark is None and saved >= target - 1e-12:
             benchmark = rank
-    _log_capped(log, "curve prefix(es)", not_converged)
+    _log_capped(log, "curve prefix(es)", (f"rank {p.rank} ({p.firm_id})" for p in points), results)
     if benchmark is None:
         achieved = points[-1].cum_co2_saved if points else 0.0
         log.warning(

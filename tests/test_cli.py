@@ -96,9 +96,9 @@ def test_data_errors_exit_3(tmp_path, capsys):
 
     missing = tmp_path / "missing.txt"
     assert run(["esri", "--net", FIG1, "--candidates", missing, "--out", tmp_path / "o"]) == 3
-    assert f"InvalidScenario: candidate file not found: {missing}" in capsys.readouterr().err
+    assert f"MissingFile: missing input file: {missing}" in capsys.readouterr().err
     assert run(["fit-regimes", "--indices", missing]) == 3
-    assert "MissingUpstream: indices file not found" in capsys.readouterr().err
+    assert f"MissingFile: missing input file: {missing}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
     # a network with no firms loads, and no scenario on it names a known firm
@@ -121,6 +121,18 @@ def test_data_errors_exit_3(tmp_path, capsys):
             assert run([*command, "--net", FIG1, "--candidates", cand, "--out", out]) == 3
             assert f"InvalidScenario: {message}" in capsys.readouterr().err
             assert not out.exists(), command
+
+
+def test_input_path_that_is_no_file_exit_3(tmp_path, capsys):
+    # open raises NotADirectoryError under a regular file and IsADirectoryError
+    # on a directory; each is the README's missing-file error, not a traceback
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert run(["validate", "--net", plain]) == 3
+    assert f"MissingFile: missing input file: {plain / 'firms.csv'}" in capsys.readouterr().err
+    assert run(["esri", "--net", FIG1, "--candidates", tmp_path, "--out", tmp_path / "o"]) == 3
+    assert f"MissingFile: missing input file: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_co2_total_exit_3(tmp_path, capsys):
@@ -497,6 +509,15 @@ def test_fit_regimes_strips_header_cells(tmp_path, capsys):
 def test_fit_regimes_requires_a_source(capsys):
     assert run(["fit-regimes"]) == 3
     assert "MissingUpstream" in capsys.readouterr().err
+
+
+def test_fit_regimes_takes_one_source(tmp_path, capsys):
+    # --indices and --net together are a usage error, raised before either is read
+    with pytest.raises(SystemExit) as exc:
+        run(["fit-regimes", "--indices", tmp_path / "none.csv", "--net", FIG1, "--out", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_regimes_from_net_honours_total_co2(tmp_path, capsys):

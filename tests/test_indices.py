@@ -34,7 +34,7 @@ from esri_net import (
 )
 from esri_net import indices
 from esri_net.indices import ets_total_co2, evaluate_scenarios, resolve_total_co2
-from esri_net.propagation import DEFAULT_MAX_ITER, ShockScenario, _Engine
+from esri_net.propagation import DEFAULT_MAX_ITER, ScenarioResult, ShockScenario, _Engine
 
 import oracle
 from conftest import FIG1, RandomCase
@@ -82,16 +82,21 @@ def test_partial_shortfalls_count_toward_eliminated_co2(fig1_net, fig1_pf):
 
 
 def assert_one_path(net, pf, scenarios, total_co2=None):
-    """The public indices equal the batch rows of the same scenarios exactly."""
+    """The public indices equal the batch rows of the same scenarios exactly,
+    read from each row by name."""
     total = resolve_total_co2(net, total_co2)
     ets_total = ets_total_co2(net)
     rows = evaluate_scenarios(net, pf, scenarios, workers=1)
-    for ids, (esri_v, ew_v, elim, _, _) in zip(scenarios, rows):
-        assert esri(net, pf, ids) == esri_v
-        assert ew_esri(net, pf, ids) == ew_v
+    for ids, row in zip(scenarios, rows):
+        esri_v, ew_v, elim, _, _ = row
+        assert (row.esri, row.ew_esri, row.eliminated_co2) == (esri_v, ew_v, elim)
+        assert esri(net, pf, ids) == row.esri
+        assert ew_esri(net, pf, ids) == row.ew_esri
         assert co2_shares(net, pf, ids, total_co2=total_co2) == (
-            elim / total, elim / ets_total if ets_total > 0.0 else 0.0
+            row.eliminated_co2 / total, row.eliminated_co2 / ets_total if ets_total > 0.0 else 0.0
         )
+        eq = propagate(net, pf, ids)
+        assert (row.iterations, row.converged) == (eq.iterations, eq.converged)
 
 
 def test_public_indices_match_batch_rows(fig1_net, fig1_pf):
@@ -418,6 +423,20 @@ def test_a_failing_worker_share_raises_and_the_next_pool_is_clean(fig1_net, fig1
     assert evaluate_scenarios(net, pf, scenarios, workers=2) == evaluate_scenarios(
         net, pf, scenarios, workers=1
     )
+
+
+def test_results_cross_the_pool_as_named_records(fig1_net, fig1_pf, monkeypatch):
+    # perfbench reads iterations and converged at positions 3 and 4
+    monkeypatch.setattr(indices.os, "cpu_count", lambda: 2)
+    scenarios = [("a",), ("d",), ("c", "d", "e"), ()]
+    for max_iter in (1, DEFAULT_MAX_ITER):
+        pooled = evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=2, max_iter=max_iter)
+        assert pooled == evaluate_scenarios(fig1_net, fig1_pf, scenarios, workers=1, max_iter=max_iter)
+        for r in pooled:
+            assert type(r) is ScenarioResult
+            assert r._fields == ("esri", "ew_esri", "eliminated_co2", "iterations", "converged")
+            assert (r[3], r[4]) == (r.iterations, r.converged)
+        assert {r.converged for r in pooled} == ({False, True} if max_iter == 1 else {True})
 
 
 _KILL_A_WORKER = """

@@ -538,6 +538,7 @@ def test_validate_flags_isolated_firm():
     rep = validate(net)
     assert rep.n_isolated == 1
     assert rep.isolated_ids == ("x",)
+    assert type(rep.isolated_ids[0]) is str
     assert any("isolated" in w for w in rep.warnings)
 
 
